@@ -126,10 +126,10 @@ const std::vector<std::string>& crash_point_names() {
       "chain:post_data",       // generation durable, manifest still old
       "chain:post_manifest",   // manifest flipped, prune not yet run
       "round:after_train",     // local updates done, nothing uploaded
-      "round:after_upload",    // uploads validated, server not stepped
-      "round:after_aggregate", // server stepped, downloads not applied
+      "round:after_upload",    // uploads sent, none aggregated yet
+      "round:after_aggregate", // aggregation tick done, downloads not sent
       "round:after_download",  // full round applied, metrics not recorded
-      "engine:after_flush",    // async buffer flushed into the server model
+      "engine:after_flush",    // one batch flushed into the server model
       "run:before_checkpoint", // round complete, checkpoint not started
       "run:after_checkpoint",  // checkpoint committed, loop not advanced
   };

@@ -1,63 +1,25 @@
 #pragma once
 
-#include <optional>
-#include <string>
-#include <vector>
-
 #include "fedpkd/fl/round_pipeline.hpp"
 
-/// The event-driven round engine behind RoundPipeline's kSemiSync and kAsync
-/// modes (DESIGN.md §14), plus the transport/aggregation helpers it shares
-/// with the sync barrier body in round_pipeline.cpp.
+/// The round engine behind RoundPipeline::run, for every RoundMode
+/// (DESIGN.md §9, §14).
 ///
 /// Simulated time, not wall clock: every round is one wake slice on the
 /// simulated-ms clock (Federation::engine.now_ms). Events — client wakes,
-/// upload arrivals, the deadline tick — are processed in deterministic order
-/// (wakes at the slice start in slot order, then arrivals sorted by
-/// (arrival_ms, client id, send sequence)), all channel traffic and server
-/// reductions run serially, and concurrency only fans out per-slot compute.
-/// That keeps both modes bitwise thread-count-invariant and, with the engine
-/// state in checkpoint v5, bitwise crash-resumable mid-buffer.
+/// upload arrivals, the aggregation tick — are processed in deterministic
+/// order (wakes at the slice start in slot order, then arrivals sorted by
+/// (arrival_ms, client id, send sequence); a sync round keeps slot order),
+/// all channel traffic and server reductions run serially, and concurrency
+/// only fans out per-slot compute. That keeps every mode bitwise
+/// thread-count-invariant and, with the engine state in checkpoint v5,
+/// bitwise crash-resumable mid-buffer.
 
 namespace fedpkd::fl {
 
-namespace detail {
-
-/// Transmits every part of `bundle` reliably, folding the send reports into
-/// `stats`. All parts are sent even after one is lost (fault-dice
-/// independence); wire bytes are returned only when every part made it.
-struct BundleResult {
-  std::optional<WireBundle> wire;
-  double latency_ms = 0.0;
-};
-
-BundleResult send_bundle_reliable(comm::Channel& channel, comm::NodeId from,
-                                  comm::NodeId to, const PayloadBundle& bundle,
-                                  RoundFaultStats& stats);
-
-/// Hierarchical (edge) pre-aggregation of `inputs` into
-/// `fed.edge_aggregators` contiguous slot-order groups. See
-/// round_pipeline.cpp for the degradation rules.
-std::vector<Contribution> edge_aggregate(Federation& fed,
-                                         std::vector<Contribution>& inputs,
-                                         RoundFaultStats& faults);
-
-/// The prototype-distance anomaly filter over >= 3 contributions: scores,
-/// records verdicts into `outcome.anomaly`, erases excluded contributions,
-/// counts them in `faults.anomaly_excluded`. No-op when the filter is off or
-/// the set is too small.
-void apply_anomaly_filter(Federation& fed,
-                          std::vector<Contribution>& contributions,
-                          RoundOutcome& outcome, RoundFaultStats& faults);
-
-std::string format_score(double value);
-
-}  // namespace detail
-
-/// One event-driven round (semisync or async per fed.policy.mode). Called by
-/// RoundPipeline::run; throws std::invalid_argument on an unusable policy
-/// (semisync without a finite deadline, async without a positive wake
-/// interval).
+/// One round of `stages` under fed.policy.mode. Called by RoundPipeline::run;
+/// throws std::invalid_argument on an unusable policy (semisync without a
+/// finite deadline, async without a positive wake interval).
 RoundOutcome run_event_driven(RoundStages& stages, Federation& fed,
                               std::size_t round);
 

@@ -106,7 +106,10 @@ struct RoundContext {
 
 /// One surviving uplink contribution, as the server sees it.
 struct Contribution {
-  std::size_t slot = 0;        // index into RoundContext::active
+  /// Sync: the sender's index into RoundContext::active. Semisync and async:
+  /// the upload's position in the aggregated batch (an async upload may come
+  /// from a client outside this round's cohort).
+  std::size_t slot = 0;
   Client* client = nullptr;    // sender (for feature dims etc.)
   /// The sender's node id. In async mode an upload can outlive its slot (it
   /// aggregates rounds after it was sent), so server-side records key on
@@ -202,9 +205,9 @@ struct RoundOutcome {
   std::optional<RoundEngineStats> engine;
 };
 
-/// The staged round executor. Dispatches on fed.policy.mode: kSync runs the
-/// original barrier body (bitwise-preserved), kSemiSync and kAsync run the
-/// event-driven engine (fl/event_engine.hpp) on the same stage hooks.
+/// The staged round executor: runs every RoundMode on the one round engine
+/// (fl/event_engine.hpp), which derives the mode's discipline — barrier,
+/// tick, event order, filter/quorum order, versioning — from fed.policy.mode.
 class RoundPipeline {
  public:
   /// Executes one full round of `stages` against `fed` (begins the round,

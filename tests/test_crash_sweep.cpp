@@ -108,12 +108,15 @@ std::vector<std::byte> reference_state(const std::string& algorithm,
 /// does: rebuild the identically-configured federation + algorithm, load the
 /// newest loadable generation (an empty chain restarts from scratch), run the
 /// remaining rounds, and stitch the resumed history onto the checkpointed
-/// prefix. Returns the final-state bytes. When the point never fires in this
-/// mode the run simply completes — still a valid sweep cell.
+/// prefix. Returns the final-state bytes and sets `fired` when the point
+/// crashed the run. When the point never fires in this mode the run simply
+/// completes — still a valid sweep cell for points outside the round engine.
 std::vector<std::byte> crashed_and_recovered_state(const std::string& algorithm,
                                                    fl::RoundMode mode,
                                                    const std::string& point,
-                                                   const std::filesystem::path& dir) {
+                                                   const std::filesystem::path& dir,
+                                                   bool& fired) {
+  fired = false;
   durable::GenerationChain chain(dir / "crash.ckpt", 3);
   fl::RunOptions options;
   options.rounds = kRounds;
@@ -135,6 +138,7 @@ std::vector<std::byte> crashed_and_recovered_state(const std::string& algorithm,
     } catch (const durable::CrashPointError&) {
       // The fired point disarmed itself; fed/algo die with this scope, like
       // the killed process.
+      fired = true;
     }
   }
 
@@ -166,11 +170,18 @@ TEST_P(CrashSweep, EveryPointRecoversBitwise) {
   for (const std::string& point : durable::crash_point_names()) {
     durable::disarm_crash_points();
     const ScopedDir run_dir(dir.path.filename().string() + "_" + point);
-    const std::vector<std::byte> recovered =
-        crashed_and_recovered_state(algorithm, mode, point, run_dir.path);
+    bool fired = false;
+    const std::vector<std::byte> recovered = crashed_and_recovered_state(
+        algorithm, mode, point, run_dir.path, fired);
     EXPECT_EQ(recovered, reference)
         << algorithm << " × " << fl::to_string(mode) << " × " << point
         << ": recovered state differs from the uninterrupted run";
+    // Every mode runs on the one round engine, so its round and flush
+    // points must really crash the run, not complete it vacuously.
+    if (point.starts_with("round:") || point.starts_with("engine:")) {
+      EXPECT_TRUE(fired) << algorithm << " × " << fl::to_string(mode) << " × "
+                         << point << ": crash point never fired";
+    }
   }
   durable::disarm_crash_points();
 }
