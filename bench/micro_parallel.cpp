@@ -18,7 +18,6 @@
 #include "fedpkd/core/fedpkd.hpp"
 #include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/fl/fedavg.hpp"
-#include "fedpkd/fl/round_pipeline.hpp"
 #include "fedpkd/robust/stats.hpp"
 
 namespace {
@@ -109,7 +108,7 @@ Timing time_run(const std::string& algorithm,
   run.rounds = rounds;
   const auto allocs_before = tensor::Tensor::allocation_count();
   const auto start = Clock::now();
-  fl::run_federation(*algo, *fed, run);
+  const fl::RunHistory history = fl::run_federation(*algo, *fed, run);
   const auto stop = Clock::now();
   exec::set_num_threads(1);
   Timing timing{
@@ -117,9 +116,9 @@ Timing time_run(const std::string& algorithm,
       static_cast<double>(tensor::Tensor::allocation_count() - allocs_before),
       {},
       {}};
-  if (const auto* staged = dynamic_cast<const fl::StagedAlgorithm*>(algo.get())) {
-    timing.stages = staged->total_stage_times();
-    timing.faults = staged->total_fault_stats();
+  for (const fl::RoundMetrics& r : history.rounds) {
+    if (r.stage_seconds) timing.stages += *r.stage_seconds;
+    if (r.fault_stats) timing.faults += *r.fault_stats;
   }
   return timing;
 }

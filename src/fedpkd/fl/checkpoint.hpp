@@ -101,25 +101,11 @@ FederationResume decode_federation_checkpoint(std::span<const std::byte> payload
                                               Federation& fed,
                                               const std::string& origin);
 
-/// Writes a federation checkpoint: encoded payload, sealed with the CRC32
-/// footer, replaced atomically. Throws std::invalid_argument when the
-/// algorithm does not support resume, std::runtime_error on I/O failure.
-void save_federation_checkpoint(const std::filesystem::path& path,
-                                Algorithm& algorithm, Federation& fed,
-                                std::size_t next_round,
-                                const RunHistory& history);
-
-/// Restores a federation checkpoint into an identically-configured
-/// federation + algorithm pair. Throws std::runtime_error on malformed,
-/// torn, or bit-corrupted files (footer verification) or a checkpoint
-/// recorded for a different algorithm / client count.
-FederationResume load_federation_checkpoint(const std::filesystem::path& path,
-                                            Algorithm& algorithm,
-                                            Federation& fed);
-
 /// Commits a federation checkpoint as the next generation of `chain`
-/// (see durable::GenerationChain: atomic data write, then manifest flip,
-/// then prune). Returns the committed generation number.
+/// (see durable::GenerationChain: atomic data write, sealed with the CRC32
+/// footer, then manifest flip, then prune). Returns the committed generation
+/// number. Throws std::invalid_argument when the algorithm does not support
+/// resume, std::runtime_error on I/O failure.
 std::size_t save_federation_checkpoint(durable::GenerationChain& chain,
                                        Algorithm& algorithm, Federation& fed,
                                        std::size_t next_round,

@@ -477,22 +477,15 @@ RunHistory run_federation(Algorithm& algorithm, Federation& fed,
       options.log->flush();
     }
     history.rounds.push_back(std::move(metrics));
-    const bool checkpoint_due =
-        options.checkpoint_every > 0 &&
-        (options.checkpoint_chain != nullptr ||
-         !options.checkpoint_path.empty()) &&
-        (t + 1) % options.checkpoint_every == 0;
+    const bool checkpoint_due = options.checkpoint_every > 0 &&
+                                options.checkpoint_chain != nullptr &&
+                                (t + 1) % options.checkpoint_every == 0;
     if (checkpoint_due) {
       durable::crash_point("run:before_checkpoint");
       // Snapshot covers only rounds executed by this run (a resumed run's
       // history starts at its own start_round); next_round is t + 1.
-      if (options.checkpoint_chain != nullptr) {
-        save_federation_checkpoint(*options.checkpoint_chain, algorithm, fed,
-                                   t + 1, history);
-      } else {
-        save_federation_checkpoint(options.checkpoint_path, algorithm, fed,
-                                   t + 1, history);
-      }
+      save_federation_checkpoint(*options.checkpoint_chain, algorithm, fed,
+                                 t + 1, history);
       durable::crash_point("run:after_checkpoint");
     }
   }

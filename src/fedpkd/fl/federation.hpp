@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <filesystem>
 #include <iosfwd>
 #include <limits>
 #include <memory>
@@ -345,16 +344,13 @@ struct RunOptions {
   std::size_t eval_batch = 256;
   /// First round index to execute (resume path: checkpoint's next_round).
   std::size_t start_round = 0;
-  /// When > 0 and a checkpoint destination is set, a federation checkpoint
-  /// is written after every checkpoint_every-th round (requires
+  /// When > 0 and checkpoint_chain is set, a federation checkpoint is
+  /// committed after every checkpoint_every-th round (requires
   /// supports_resume()).
   std::size_t checkpoint_every = 0;
-  /// Single-file destination: each checkpoint atomically replaces this path.
-  std::filesystem::path checkpoint_path;
-  /// Generation-chain destination (preferred for crash safety): each
-  /// checkpoint commits a new sealed generation; a torn newest generation
-  /// falls back to the previous one on load. Takes precedence over
-  /// checkpoint_path when both are set. Not owned.
+  /// Checkpoint destination: each checkpoint commits a new sealed
+  /// generation; a torn newest generation falls back to the previous one on
+  /// load. Not owned.
   durable::GenerationChain* checkpoint_chain = nullptr;
 };
 

@@ -44,24 +44,7 @@ RoundOutcome RoundPipeline::run(RoundStages& stages, Federation& fed,
 }
 
 void StagedAlgorithm::run_round(Federation& fed, std::size_t round) {
-  RoundOutcome outcome = pipeline_.run(*this, fed, round);
-  times_.push_back(outcome.times);
-  faults_.push_back(outcome.faults);
-  anomaly_.push_back(std::move(outcome.anomaly));
-  pool_stats_.push_back(outcome.pool);
-  engine_stats_.push_back(outcome.engine);
-}
-
-StageTimes StagedAlgorithm::total_stage_times() const {
-  StageTimes total;
-  for (const StageTimes& t : times_) total += t;
-  return total;
-}
-
-RoundFaultStats StagedAlgorithm::total_fault_stats() const {
-  RoundFaultStats total;
-  for (const RoundFaultStats& f : faults_) total += f;
-  return total;
+  last_ = pipeline_.run(*this, fed, round);
 }
 
 }  // namespace fedpkd::fl

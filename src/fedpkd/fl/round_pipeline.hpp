@@ -224,55 +224,32 @@ class RoundPipeline {
 };
 
 /// Base for algorithms expressed as RoundStages: run_round delegates to the
-/// shared RoundPipeline and records per-round stage times and fault stats.
+/// shared RoundPipeline and keeps the most recent round's outcome, which
+/// run_federation copies into that round's RoundMetrics. Totals over a run
+/// are sums over the RunHistory.
 class StagedAlgorithm : public Algorithm, public RoundStages {
  public:
   void run_round(Federation& fed, std::size_t round) final;
 
-  /// Wall-clock spans of every round executed so far, in order.
-  const std::vector<StageTimes>& stage_times() const { return times_; }
-  /// Sum over all executed rounds.
-  StageTimes total_stage_times() const;
-
-  /// Fault counters of every round executed so far, in order.
-  const std::vector<RoundFaultStats>& fault_stats() const { return faults_; }
-  /// Sum over all executed rounds (latency is the max, matching +=).
-  RoundFaultStats total_fault_stats() const;
-
   const StageTimes* last_stage_times() const override {
-    return times_.empty() ? nullptr : &times_.back();
+    return last_ ? &last_->times : nullptr;
   }
   const RoundFaultStats* last_fault_stats() const override {
-    return faults_.empty() ? nullptr : &faults_.back();
+    return last_ ? &last_->faults : nullptr;
   }
   const std::vector<ClientAnomaly>* last_anomaly() const override {
-    return anomaly_.empty() ? nullptr : &anomaly_.back();
+    return last_ ? &last_->anomaly : nullptr;
   }
-  /// Anomaly records of every round executed so far, in order (one vector per
-  /// round; empty when the filter did not run).
-  const std::vector<std::vector<ClientAnomaly>>& anomaly_records() const {
-    return anomaly_;
-  }
-
   const PoolRoundStats* last_pool_stats() const override {
-    return pool_stats_.empty() || !pool_stats_.back().has_value()
-               ? nullptr
-               : &*pool_stats_.back();
+    return last_ && last_->pool ? &*last_->pool : nullptr;
   }
-
   const RoundEngineStats* last_engine_stats() const override {
-    return engine_stats_.empty() || !engine_stats_.back().has_value()
-               ? nullptr
-               : &*engine_stats_.back();
+    return last_ && last_->engine ? &*last_->engine : nullptr;
   }
 
  private:
   RoundPipeline pipeline_;
-  std::vector<StageTimes> times_;
-  std::vector<RoundFaultStats> faults_;
-  std::vector<std::vector<ClientAnomaly>> anomaly_;
-  std::vector<std::optional<PoolRoundStats>> pool_stats_;
-  std::vector<std::optional<RoundEngineStats>> engine_stats_;
+  std::optional<RoundOutcome> last_;
 };
 
 }  // namespace fedpkd::fl

@@ -365,13 +365,17 @@ TEST(AsyncSemantics, RoundModeParsing) {
 
 // ------------------------------------------------- mid-buffer crash-resume --
 
-struct ScopedPath {
+/// Scratch directory for a checkpoint chain, removed on scope exit.
+struct ScopedDir {
   std::filesystem::path path;
-  explicit ScopedPath(const std::string& name)
-      : path(std::filesystem::temp_directory_path() / name) {}
-  ~ScopedPath() {
+  explicit ScopedDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() / name) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScopedDir() {
     std::error_code ec;
-    std::filesystem::remove(path, ec);
+    std::filesystem::remove_all(path, ec);
   }
 };
 
@@ -416,7 +420,8 @@ void expect_bitwise_mid_buffer_resume(const std::string& name) {
   // Interrupted run: checkpoint after round kCut, then "crash". The cut must
   // land mid-buffer — a partially filled aggregation buffer AND uploads
   // still crossing the wire — or this test is not exercising v5 at all.
-  const ScopedPath ckpt("fedpkd_test_async_" + name + ".ckpt");
+  const ScopedDir dir("fedpkd_test_async_" + name);
+  fl::durable::GenerationChain chain(dir.path / "run.ckpt");
   auto first_fed = small_federation(1);
   first_fed->channel.set_fault_plan(plan);
   apply_async_policy(*first_fed);
@@ -424,9 +429,9 @@ void expect_bitwise_mid_buffer_resume(const std::string& name) {
   fl::RunOptions until_cut = base;
   until_cut.rounds = kCut;
   until_cut.checkpoint_every = kCut;
-  until_cut.checkpoint_path = ckpt.path;
+  until_cut.checkpoint_chain = &chain;
   fl::run_federation(*first, *first_fed, until_cut);
-  ASSERT_TRUE(std::filesystem::exists(ckpt.path)) << name;
+  ASSERT_TRUE(std::filesystem::exists(chain.generation_path(1))) << name;
   ASSERT_GT(first_fed->engine.buffer.size(), 0u)
       << name << ": cut did not land with a partial aggregation buffer";
   ASSERT_GT(first_fed->engine.in_flight.size(), 0u)
@@ -437,8 +442,10 @@ void expect_bitwise_mid_buffer_resume(const std::string& name) {
   resumed_fed->channel.set_fault_plan(plan);
   apply_async_policy(*resumed_fed);
   auto resumed = make_algorithm(name, *resumed_fed);
-  const fl::FederationResume state =
-      fl::load_federation_checkpoint(ckpt.path, *resumed, *resumed_fed);
+  const auto loaded =
+      fl::load_federation_checkpoint(chain, *resumed, *resumed_fed);
+  ASSERT_TRUE(loaded.has_value()) << name;
+  const fl::FederationResume& state = loaded->resume;
   ASSERT_EQ(state.next_round, kCut) << name;
   ASSERT_EQ(state.history.rounds.size(), kCut) << name;
   // The engine came back exactly as checkpointed: clock, version, buffer,

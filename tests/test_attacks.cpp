@@ -414,13 +414,17 @@ TEST(AdaptiveNorm, BoundTightensFromHistoryAndRejectsTheBooster) {
 
 // ------------------------------------------------------ resume mid-attack ---
 
-struct ScopedPath {
+/// Scratch directory for a checkpoint chain, removed on scope exit.
+struct ScopedDir {
   std::filesystem::path path;
-  explicit ScopedPath(const std::string& name)
-      : path(std::filesystem::temp_directory_path() / name) {}
-  ~ScopedPath() {
+  explicit ScopedDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() / name) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScopedDir() {
     std::error_code ec;
-    std::filesystem::remove(path, ec);
+    std::filesystem::remove_all(path, ec);
   }
 };
 
@@ -448,22 +452,25 @@ void expect_bitwise_resume_under_attack(const std::string& name) {
   const fl::RunHistory want =
       fl::run_federation(*straight, *straight_fed, base);
 
-  const ScopedPath ckpt("fedpkd_test_attacks_" + name + ".ckpt");
+  const ScopedDir dir("fedpkd_test_attacks_" + name);
+  fl::durable::GenerationChain chain(dir.path / "run.ckpt");
   auto first_fed = attacked_federation(1);
   configure(*first_fed);
   auto first = make_algorithm(name, *first_fed);
   fl::RunOptions until_cut = base;
   until_cut.rounds = kCut;
   until_cut.checkpoint_every = kCut;
-  until_cut.checkpoint_path = ckpt.path;
+  until_cut.checkpoint_chain = &chain;
   fl::run_federation(*first, *first_fed, until_cut);
-  ASSERT_TRUE(std::filesystem::exists(ckpt.path)) << name;
+  ASSERT_TRUE(std::filesystem::exists(chain.generation_path(1))) << name;
 
   auto resumed_fed = attacked_federation(1);
   configure(*resumed_fed);
   auto resumed = make_algorithm(name, *resumed_fed);
-  const fl::FederationResume state =
-      fl::load_federation_checkpoint(ckpt.path, *resumed, *resumed_fed);
+  const auto loaded =
+      fl::load_federation_checkpoint(chain, *resumed, *resumed_fed);
+  ASSERT_TRUE(loaded.has_value()) << name;
+  const fl::FederationResume& state = loaded->resume;
   ASSERT_EQ(state.next_round, kCut) << name;
   fl::RunOptions rest = base;
   rest.start_round = state.next_round;

@@ -10,9 +10,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -325,13 +325,17 @@ TEST(Poisoning, NanClientIsRejectedAndAggregateMatchesCleanClientsOnly) {
 
 // ------------------------------------------------------------ crash-resume --
 
-struct ScopedPath {
+/// Scratch directory for a checkpoint chain, removed on scope exit.
+struct ScopedDir {
   std::filesystem::path path;
-  explicit ScopedPath(const std::string& name)
-      : path(std::filesystem::temp_directory_path() / name) {}
-  ~ScopedPath() {
+  explicit ScopedDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() / name) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScopedDir() {
     std::error_code ec;
-    std::filesystem::remove(path, ec);
+    std::filesystem::remove_all(path, ec);
   }
 };
 
@@ -355,23 +359,26 @@ void expect_bitwise_resume(const std::string& name) {
   const fl::RunHistory want = fl::run_federation(*straight, *straight_fed, base);
 
   // Interrupted run: checkpoint after round kCut, then "crash".
-  const ScopedPath ckpt("fedpkd_test_faults_" + name + ".ckpt");
+  const ScopedDir dir("fedpkd_test_faults_" + name);
+  fl::durable::GenerationChain chain(dir.path / "run.ckpt");
   auto first_fed = faulted_federation(1);
   first_fed->channel.set_fault_plan(plan);
   auto first = make_algorithm(name, *first_fed);
   fl::RunOptions until_cut = base;
   until_cut.rounds = kCut;
   until_cut.checkpoint_every = kCut;
-  until_cut.checkpoint_path = ckpt.path;
+  until_cut.checkpoint_chain = &chain;
   fl::run_federation(*first, *first_fed, until_cut);
-  ASSERT_TRUE(std::filesystem::exists(ckpt.path)) << name;
+  ASSERT_TRUE(std::filesystem::exists(chain.generation_path(1))) << name;
 
   // Resume: rebuild the identical configuration, restore, run the rest.
   auto resumed_fed = faulted_federation(1);
   resumed_fed->channel.set_fault_plan(plan);
   auto resumed = make_algorithm(name, *resumed_fed);
-  const fl::FederationResume state =
-      fl::load_federation_checkpoint(ckpt.path, *resumed, *resumed_fed);
+  const auto loaded =
+      fl::load_federation_checkpoint(chain, *resumed, *resumed_fed);
+  ASSERT_TRUE(loaded.has_value()) << name;
+  const fl::FederationResume& state = loaded->resume;
   ASSERT_EQ(state.next_round, kCut) << name;
   ASSERT_EQ(state.history.rounds.size(), kCut) << name;
   fl::RunOptions rest = base;
@@ -430,48 +437,47 @@ TEST(CrashResume, FedPkdResumesBitwiseIdentically) {
 }
 
 TEST(CrashResume, CheckpointRejectsMismatchedConfiguration) {
-  const ScopedPath ckpt("fedpkd_test_faults_mismatch.ckpt");
+  const ScopedDir dir("fedpkd_test_faults_mismatch");
+  fl::durable::GenerationChain chain(dir.path / "run.ckpt");
   auto fed = faulted_federation(1);
   fl::FedAvg algo(*fed, {.local_epochs = 1, .proximal_mu = {}});
   fl::RunOptions opts;
   opts.rounds = 1;
   opts.checkpoint_every = 1;
-  opts.checkpoint_path = ckpt.path;
+  opts.checkpoint_chain = &chain;
   fl::run_federation(algo, *fed, opts);
 
-  // Wrong algorithm.
+  // Wrong algorithm: the generation verifies but does not decode.
   auto other_fed = faulted_federation(1);
   auto other = make_algorithm("FedPKD", *other_fed);
-  EXPECT_THROW(
-      fl::load_federation_checkpoint(ckpt.path, *other, *other_fed),
-      std::runtime_error);
+  EXPECT_THROW(fl::load_federation_checkpoint(chain, *other, *other_fed),
+               std::runtime_error);
 
   // An algorithm without resume support cannot write one.
   auto no_resume_fed = faulted_federation(1);
   auto no_resume = make_algorithm("FedMD", *no_resume_fed);
-  EXPECT_THROW(fl::save_federation_checkpoint(ckpt.path, *no_resume,
+  EXPECT_THROW(fl::save_federation_checkpoint(chain, *no_resume,
                                               *no_resume_fed, 1, {}),
                std::invalid_argument);
 
-  // Truncated file.
-  std::filesystem::resize_file(ckpt.path,
-                               std::filesystem::file_size(ckpt.path) / 2);
+  // Truncated payload. (Torn and bit-flipped files never reach the decoder:
+  // the chain's footer check rejects them, swept in test_durable.)
+  const auto loaded = chain.load();
+  ASSERT_TRUE(loaded.has_value());
+  const std::vector<std::byte>& payload = loaded->payload;
   auto trunc_fed = faulted_federation(1);
   fl::FedAvg trunc_algo(*trunc_fed, {.local_epochs = 1, .proximal_mu = {}});
-  EXPECT_THROW(
-      fl::load_federation_checkpoint(ckpt.path, trunc_algo, *trunc_fed),
-      std::runtime_error);
+  EXPECT_THROW(fl::decode_federation_checkpoint(
+                   std::span(payload).first(payload.size() / 2), trunc_algo,
+                   *trunc_fed, "truncated"),
+               std::runtime_error);
 
   // Bad magic.
-  {
-    std::fstream f(ckpt.path,
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(0);
-    f.put('X');
-  }
-  EXPECT_THROW(
-      fl::load_federation_checkpoint(ckpt.path, trunc_algo, *trunc_fed),
-      std::runtime_error);
+  std::vector<std::byte> bad_magic = payload;
+  bad_magic[0] = std::byte{'X'};
+  EXPECT_THROW(fl::decode_federation_checkpoint(bad_magic, trunc_algo,
+                                                *trunc_fed, "bad magic"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -478,7 +478,7 @@ TEST(StageTiming, RecordedPerRoundAndSurfacedInMetrics) {
   opts.rounds = 2;
   const fl::RunHistory history = fl::run_federation(algo, *fed, opts);
 
-  ASSERT_EQ(algo.stage_times().size(), 2u);
+  ASSERT_EQ(history.rounds.size(), 2u);
   for (std::size_t t = 0; t < 2; ++t) {
     ASSERT_TRUE(history.rounds[t].stage_seconds.has_value()) << "round " << t;
     const fl::StageTimes& s = *history.rounds[t].stage_seconds;
@@ -491,10 +491,16 @@ TEST(StageTiming, RecordedPerRoundAndSurfacedInMetrics) {
     EXPECT_GE(s.apply_seconds, 0.0);
     EXPECT_GE(s.total_seconds(), s.local_update_seconds);
   }
-  const fl::StageTimes total = algo.total_stage_times();
-  EXPECT_GE(total.total_seconds(),
-            history.rounds[0].stage_seconds->total_seconds());
-  EXPECT_EQ(algo.last_stage_times(), &algo.stage_times().back());
+  // The algorithm keeps only its most recent round; run_federation copied
+  // it into the final history round.
+  const fl::StageTimes* last = algo.last_stage_times();
+  ASSERT_NE(last, nullptr);
+  const fl::StageTimes& final_round = *history.rounds.back().stage_seconds;
+  EXPECT_EQ(last->local_update_seconds, final_round.local_update_seconds);
+  EXPECT_EQ(last->upload_seconds, final_round.upload_seconds);
+  EXPECT_EQ(last->server_step_seconds, final_round.server_step_seconds);
+  EXPECT_EQ(last->download_seconds, final_round.download_seconds);
+  EXPECT_EQ(last->apply_seconds, final_round.apply_seconds);
 }
 
 TEST(StageTiming, LogLineIncludesStageBreakdown) {

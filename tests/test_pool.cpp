@@ -224,13 +224,17 @@ void expect_same_history(const fl::RunHistory& a, const fl::RunHistory& b,
   }
 }
 
-struct ScopedPath {
+/// Scratch directory for a checkpoint chain, removed on scope exit.
+struct ScopedDir {
   std::filesystem::path path;
-  explicit ScopedPath(const std::string& name)
-      : path(std::filesystem::temp_directory_path() / name) {}
-  ~ScopedPath() {
+  explicit ScopedDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() / name) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScopedDir() {
     std::error_code ec;
-    std::filesystem::remove(path, ec);
+    std::filesystem::remove_all(path, ec);
   }
 };
 
@@ -426,20 +430,23 @@ void expect_virtual_bitwise_resume(const std::string& name) {
   auto straight = make_algorithm(name, *straight_fed);
   const fl::RunHistory want = fl::run_federation(*straight, *straight_fed, base);
 
-  const ScopedPath ckpt("fedpkd_test_pool_" + name + ".ckpt");
+  const ScopedDir dir("fedpkd_test_pool_" + name);
+  fl::durable::GenerationChain chain(dir.path / "run.ckpt");
   auto first_fed = build();
   auto first = make_algorithm(name, *first_fed);
   fl::RunOptions until_cut = base;
   until_cut.rounds = kCut;
   until_cut.checkpoint_every = kCut;
-  until_cut.checkpoint_path = ckpt.path;
+  until_cut.checkpoint_chain = &chain;
   fl::run_federation(*first, *first_fed, until_cut);
-  ASSERT_TRUE(std::filesystem::exists(ckpt.path)) << name;
+  ASSERT_TRUE(std::filesystem::exists(chain.generation_path(1))) << name;
 
   auto resumed_fed = build();
   auto resumed = make_algorithm(name, *resumed_fed);
-  const fl::FederationResume state =
-      fl::load_federation_checkpoint(ckpt.path, *resumed, *resumed_fed);
+  const auto loaded =
+      fl::load_federation_checkpoint(chain, *resumed, *resumed_fed);
+  ASSERT_TRUE(loaded.has_value()) << name;
+  const fl::FederationResume& state = loaded->resume;
   ASSERT_EQ(state.next_round, kCut) << name;
   fl::RunOptions rest = base;
   rest.start_round = state.next_round;
@@ -475,7 +482,8 @@ TEST(PoolCheckpoint, RejectsModeAndPopulationMismatch) {
   // A resident-mode checkpoint must not load into a virtual federation of
   // the same size, and a virtual checkpoint must not load into a different
   // population.
-  const ScopedPath ckpt("fedpkd_test_pool_mismatch.ckpt");
+  const ScopedDir dir("fedpkd_test_pool_mismatch");
+  fl::durable::GenerationChain resident_chain(dir.path / "resident.ckpt");
   {
     data::SyntheticVision task(data::SyntheticVisionConfig::synth10(901));
     const auto bundle = task.make_bundle(320, 160, 120);
@@ -490,31 +498,32 @@ TEST(PoolCheckpoint, RejectsModeAndPopulationMismatch) {
     fl::RunOptions opts;
     opts.rounds = 1;
     opts.checkpoint_every = 1;
-    opts.checkpoint_path = ckpt.path;
+    opts.checkpoint_chain = &resident_chain;
     fl::run_federation(algo, *resident, opts);
   }
   {
     auto virt = virtual_federation(1, kTinyWarm);  // same population, virtual
     fl::FedAvg algo(*virt, {.local_epochs = 1, .proximal_mu = {}});
-    EXPECT_THROW(fl::load_federation_checkpoint(ckpt.path, algo, *virt),
+    EXPECT_THROW(fl::load_federation_checkpoint(resident_chain, algo, *virt),
                  std::runtime_error);
   }
 
-  const ScopedPath vckpt("fedpkd_test_pool_popmismatch.ckpt");
+  fl::durable::GenerationChain virtual_chain(dir.path / "virtual.ckpt");
   {
     auto virt = virtual_federation(1, kTinyWarm);
     fl::FedAvg algo(*virt, {.local_epochs = 1, .proximal_mu = {}});
     fl::RunOptions opts;
     opts.rounds = 1;
     opts.checkpoint_every = 1;
-    opts.checkpoint_path = vckpt.path;
+    opts.checkpoint_chain = &virtual_chain;
     fl::run_federation(algo, *virt, opts);
   }
   {
     auto smaller = virtual_federation(1, kTinyWarm, kPopulation - 2);
     fl::FedAvg algo(*smaller, {.local_epochs = 1, .proximal_mu = {}});
-    EXPECT_THROW(fl::load_federation_checkpoint(vckpt.path, algo, *smaller),
-                 std::runtime_error);
+    EXPECT_THROW(
+        fl::load_federation_checkpoint(virtual_chain, algo, *smaller),
+        std::runtime_error);
   }
 }
 
