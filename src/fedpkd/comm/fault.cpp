@@ -125,31 +125,14 @@ std::size_t FaultInjector::advance(std::size_t round, RoundStage stage) {
   return fired;
 }
 
-void FaultInjector::save_state(std::vector<std::byte>& out) const {
-  tensor::put_rng(drop_rng_, out);
-  tensor::put_rng(corrupt_rng_, out);
-  tensor::put_rng(latency_rng_, out);
-  tensor::put_u32(static_cast<std::uint32_t>(offline_.size()), out);
-  for (NodeId node : offline_) {
-    tensor::put_u32(static_cast<std::uint32_t>(node), out);
-  }
-  tensor::put_u64(next_crash_, out);
-}
-
-void FaultInjector::load_state(std::span<const std::byte> bytes,
-                               std::size_t& offset) {
-  drop_rng_ = tensor::get_rng(bytes, offset);
-  corrupt_rng_ = tensor::get_rng(bytes, offset);
-  latency_rng_ = tensor::get_rng(bytes, offset);
-  const std::uint32_t n = tensor::get_u32(bytes, offset);
-  offline_.clear();
-  offline_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    offline_.push_back(
-        static_cast<NodeId>(tensor::get_u32(bytes, offset)));
-  }
-  std::sort(offline_.begin(), offline_.end());
-  next_crash_ = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
+void FaultInjector::persist(tensor::StateIo& io) {
+  io.rng(drop_rng_);
+  io.rng(corrupt_rng_);
+  io.rng(latency_rng_);
+  offline_.resize(io.count32(offline_.size(), 4, "FaultInjector offline set"));
+  for (NodeId& node : offline_) io.i32(node);
+  if (io.reading()) std::sort(offline_.begin(), offline_.end());
+  io.size(next_crash_);
 }
 
 }  // namespace fedpkd::comm

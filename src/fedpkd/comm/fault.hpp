@@ -9,6 +9,10 @@
 #include "fedpkd/comm/meter.hpp"
 #include "fedpkd/tensor/rng.hpp"
 
+namespace fedpkd::tensor {
+class StateIo;
+}
+
 namespace fedpkd::comm {
 
 /// Where in a pipeline round a scripted fault fires. Ordered: a CrashEvent
@@ -114,12 +118,11 @@ class FaultInjector {
   /// does not re-fire crashes that already happened).
   std::size_t crash_cursor() const { return next_crash_; }
 
-  /// Checkpoint support: serializes the dice streams, the offline set, and
-  /// the crash cursor. The FaultPlan itself is *not* stored — resume
+  /// Checkpoint support (state codec): the dice streams, the offline set,
+  /// and the crash cursor. The FaultPlan itself is *not* stored — resume
   /// re-applies the same plan (it is run configuration, like the dataset),
-  /// then load_state restores the injector's position within it.
-  void save_state(std::vector<std::byte>& out) const;
-  void load_state(std::span<const std::byte> bytes, std::size_t& offset);
+  /// then reading restores the injector's position within it.
+  void persist(tensor::StateIo& io);
 
  private:
   FaultPlan plan_;

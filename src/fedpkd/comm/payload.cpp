@@ -4,6 +4,7 @@
 
 namespace fedpkd::comm {
 
+using tensor::check_count;
 using tensor::decode_tensor;
 using tensor::encode_tensor;
 using tensor::get_u32;
@@ -33,18 +34,6 @@ PayloadKind take_kind(std::span<const std::byte> bytes, std::size_t& offset,
 void finish(std::span<const std::byte> bytes, std::size_t offset) {
   if (offset != bytes.size()) {
     throw DecodeError("payload: trailing bytes");
-  }
-}
-
-/// Rejects a claimed element count that cannot fit in the remaining bytes
-/// (`min_bytes_each` per element) *before* the caller reserves for it — a
-/// forged count field must not translate into a gigabyte reserve().
-void check_count(std::uint32_t n, std::size_t min_bytes_each,
-                 std::span<const std::byte> bytes, std::size_t offset,
-                 const char* what) {
-  if (static_cast<std::size_t>(n) >
-      (bytes.size() - offset) / min_bytes_each) {
-    throw DecodeError(std::string(what) + ": count exceeds buffer");
   }
 }
 

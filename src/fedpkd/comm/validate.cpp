@@ -178,19 +178,9 @@ double WeightNormTracker::bound_or(double fallback, double factor,
   return med + factor * spread;
 }
 
-void WeightNormTracker::save_state(std::vector<std::byte>& out) const {
-  tensor::put_u64(history_.size(), out);
-  for (double norm : history_) tensor::put_f64(norm, out);
-}
-
-void WeightNormTracker::load_state(std::span<const std::byte> bytes,
-                                   std::size_t& offset) {
-  const std::uint64_t n = tensor::get_u64(bytes, offset);
-  history_.clear();
-  history_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    history_.push_back(tensor::get_f64(bytes, offset));
-  }
+void WeightNormTracker::persist(tensor::StateIo& io) {
+  io.seq(history_, 8, "WeightNormTracker history",
+         [&](double& norm) { io.f64(norm); });
 }
 
 double weights_part_norm(std::span<const std::byte> part) {

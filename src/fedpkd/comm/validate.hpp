@@ -56,9 +56,8 @@ class WeightNormTracker {
   std::size_t size() const { return history_.size(); }
   const std::vector<double>& history() const { return history_; }
 
-  /// Checkpoint v3 serialization (insertion order preserved).
-  void save_state(std::vector<std::byte>& out) const;
-  void load_state(std::span<const std::byte> bytes, std::size_t& offset);
+  /// Checkpoint state (state codec; insertion order preserved).
+  void persist(tensor::StateIo& io);
 
  private:
   std::vector<double> history_;  // insertion order; oldest at front

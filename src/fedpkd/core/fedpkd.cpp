@@ -285,74 +285,49 @@ void FedPkd::apply_download(fl::RoundContext& ctx, std::size_t,
 
 namespace {
 
-void put_prototype_set(const std::optional<PrototypeSet>& set,
-                       std::vector<std::byte>& out) {
-  out.push_back(static_cast<std::byte>(set ? 1 : 0));
-  if (!set) return;
-  tensor::put_u64(set->num_classes(), out);
-  tensor::put_u64(set->feature_dim(), out);
-  const std::vector<std::byte> wire = comm::encode(to_payload(*set));
-  tensor::put_u64(wire.size(), out);
-  out.insert(out.end(), wire.begin(), wire.end());
-}
-
-std::optional<PrototypeSet> get_prototype_set(
-    std::span<const std::byte> bytes, std::size_t& offset) {
-  if (offset >= bytes.size()) {
-    throw tensor::DecodeError("FedPkd state: truncated prototype set");
-  }
-  const bool has = bytes[offset++] != std::byte{0};
-  if (!has) return std::nullopt;
-  const auto num_classes =
-      static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  const auto feature_dim =
-      static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  const auto size = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  if (size > bytes.size() - offset) {
-    throw tensor::DecodeError("FedPkd state: truncated prototype set");
-  }
-  const comm::PrototypesPayload payload =
-      comm::decode_prototypes(bytes.subspan(offset, size));
-  offset += size;
-  return from_payload(payload, num_classes, feature_dim);
+void persist_prototype_set(tensor::StateIo& io,
+                           std::optional<PrototypeSet>& set,
+                           const nn::Classifier& server) {
+  io.optional(set, [&](PrototypeSet& s) {
+    std::size_t num_classes = s.num_classes();
+    std::size_t feature_dim = s.feature_dim();
+    io.size(num_classes);
+    io.size(feature_dim);
+    std::vector<std::byte> wire;
+    if (!io.reading()) wire = comm::encode(to_payload(s));
+    io.blob(wire);
+    if (!io.reading()) return;
+    // Every set FedPKD keeps has the task's classes and the shared feature
+    // dimension; checking before from_payload allocates the dense matrix.
+    if (num_classes != server.num_classes() ||
+        feature_dim != server.feature_dim()) {
+      throw tensor::DecodeError("FedPkd state: prototype set shape mismatch");
+    }
+    s = from_payload(comm::decode_prototypes(wire), num_classes, feature_dim);
+  });
 }
 
 }  // namespace
 
-void FedPkd::save_state(std::vector<std::byte>& out) {
-  tensor::encode_tensor(server_.flat_weights(), out);
-  tensor::put_rng(server_rng_, out);
-  tensor::put_f32(last_keep_fraction_, out);
-  put_prototype_set(global_prototypes_, out);
-  tensor::put_u64(received_.size(), out);
-  for (const auto& [id, set] : received_) {
-    tensor::put_u32(id, out);
-    put_prototype_set(set, out);
-  }
+void FedPkd::persist(tensor::StateIo& io) {
+  nn::persist_weights(io, server_);
+  io.rng(server_rng_);
+  io.f32(last_keep_fraction_);
+  persist_prototype_set(io, global_prototypes_, server_);
+  // Per client: u32 id + presence flag.
+  const std::size_t clients =
+      io.count(received_.size(), 5, "FedPkd received prototypes");
+  io.entries(received_, clients,
+             [&](std::uint32_t& id, std::optional<PrototypeSet>& set) {
+               io.u32(id);
+               persist_prototype_set(io, set, server_);
+             });
   // The filtered-subset selection: the async engine serves make_download
   // from it across rounds, so a resumed run must rebuild the same download.
-  tensor::put_u64(selected_ids_.size(), out);
-  for (const std::uint32_t id : selected_ids_) tensor::put_u32(id, out);
-}
-
-void FedPkd::load_state(std::span<const std::byte> bytes,
-                        std::size_t& offset) {
-  server_.set_flat_weights(tensor::decode_tensor(bytes, offset));
-  server_rng_ = tensor::get_rng(bytes, offset);
-  last_keep_fraction_ = tensor::get_f32(bytes, offset);
-  global_prototypes_ = get_prototype_set(bytes, offset);
-  const auto clients = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  received_.clear();
-  for (std::size_t c = 0; c < clients; ++c) {
-    const std::uint32_t id = tensor::get_u32(bytes, offset);
-    received_[id] = get_prototype_set(bytes, offset);
-  }
-  const auto selected = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  selected_ids_.assign(selected, 0);
-  for (std::size_t s = 0; s < selected; ++s) {
-    selected_ids_[s] = tensor::get_u32(bytes, offset);
-  }
-  selected_inputs_ = tensor::Tensor();  // regathered on the next download
+  io.seq(selected_ids_, 4, "FedPkd selected ids",
+         [&](std::uint32_t& id) { io.u32(id); });
+  // The gathered inputs are rebuilt on the next download.
+  if (io.reading()) selected_inputs_ = tensor::Tensor();
 }
 
 }  // namespace fedpkd::core

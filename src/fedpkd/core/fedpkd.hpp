@@ -82,9 +82,7 @@ class FedPkd : public fl::StagedAlgorithm {
   /// the wire (the Eq. 16 regularizer target). Everything else is rebuilt
   /// per round.
   bool supports_resume() const override { return true; }
-  void save_state(std::vector<std::byte>& out) override;
-  void load_state(std::span<const std::byte> bytes,
-                  std::size_t& offset) override;
+  void persist(tensor::StateIo& io) override;
 
   /// Global prototypes after the most recent round (empty before round 0).
   const std::optional<PrototypeSet>& global_prototypes() const {

@@ -31,71 +31,68 @@ constexpr std::uint32_t kRunMagic = 0x464b5052u;  // 'FPKR' (federation resume)
 // footer and written atomically (tmp + fsync + rename).
 constexpr std::uint32_t kRunVersion = 6;
 
-void put_string(const std::string& s, std::vector<std::byte>& out) {
-  tensor::put_u32(static_cast<std::uint32_t>(s.size()), out);
-  for (char c : s) out.push_back(static_cast<std::byte>(c));
-}
+/// A model checkpoint's fields; `weights` is the flat parameter vector.
+struct ModelImage {
+  std::string arch;
+  std::size_t input_dim = 0;
+  std::size_t num_classes = 0;
+  tensor::Tensor weights;
+};
 
-std::string get_string(std::span<const std::byte> bytes, std::size_t& offset) {
-  const std::uint32_t n = tensor::get_u32(bytes, offset);
-  if (offset + n > bytes.size()) {
-    throw std::runtime_error("checkpoint: truncated string");
+/// The 'FPKC' model record. Read mode takes the whole `file`: it accepts the
+/// sealed v2 and the legacy unsealed v1, verifies v2's CRC32 footer before
+/// trusting a single payload byte — a truncated or bit-flipped file fails
+/// there instead of decoding into silently-wrong weights — and requires the
+/// payload to end exactly after the weights.
+void persist_model(tensor::StateIo& io, ModelImage& model,
+                   std::span<const std::byte> file, const std::string& origin) {
+  std::uint32_t magic = kMagic;
+  std::uint32_t version = kVersion;
+  io.u32(magic);
+  if (magic != kMagic) {
+    throw std::runtime_error("checkpoint: bad magic in " + origin);
   }
-  std::string s(n, '\0');
-  for (std::uint32_t i = 0; i < n; ++i) {
-    s[i] = static_cast<char>(bytes[offset + i]);
+  io.u32(version);
+  std::size_t end = file.size();
+  if (version == kVersion) {
+    if (io.reading()) {
+      end = durable::verified_payload_size(file, "checkpoint " + origin);
+    }
+  } else if (version != kLegacyVersion) {
+    throw std::runtime_error("checkpoint: unsupported version in " + origin);
   }
-  offset += n;
-  return s;
+  io.string(model.arch);
+  io.size(model.input_dim);
+  io.size(model.num_classes);
+  io.tensor(model.weights);
+  if (io.reading() && io.offset() != end) {
+    throw std::runtime_error("checkpoint: trailing bytes in " + origin);
+  }
 }
 
 }  // namespace
 
 void save_checkpoint(nn::Classifier& model,
                      const std::filesystem::path& path) {
+  ModelImage image{model.arch(), model.input_dim(), model.num_classes(),
+                   model.flat_weights()};
   std::vector<std::byte> out;
-  tensor::put_u32(kMagic, out);
-  tensor::put_u32(kVersion, out);
-  put_string(model.arch(), out);
-  tensor::put_u64(model.input_dim(), out);
-  tensor::put_u64(model.num_classes(), out);
-  tensor::encode_tensor(model.flat_weights(), out);
+  auto io = tensor::StateIo::writer(out);
+  persist_model(io, image, {}, path.string());
   durable::append_footer(out);
   durable::atomic_write_file(path, out);
 }
 
 nn::Classifier load_checkpoint(const std::filesystem::path& path) {
   const auto bytes = durable::read_file_bytes(path);
-  std::size_t offset = 0;
-  if (bytes.size() < 8 || tensor::get_u32(bytes, offset) != kMagic) {
-    throw std::runtime_error("checkpoint: bad magic in " + path.string());
-  }
-  const std::uint32_t version = tensor::get_u32(bytes, offset);
-  std::size_t end = bytes.size();
-  if (version == kVersion) {
-    // Sealed format: verify the CRC32 footer before trusting a single
-    // payload byte — a truncated or bit-flipped file fails here instead of
-    // decoding into silently-wrong weights.
-    end = durable::verified_payload_size(bytes,
-                                         "checkpoint " + path.string());
-  } else if (version != kLegacyVersion) {
-    throw std::runtime_error("checkpoint: unsupported version in " +
-                             path.string());
-  }
-  const std::string arch = get_string(bytes, offset);
-  const auto input_dim =
-      static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  const auto num_classes =
-      static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  const tensor::Tensor weights = tensor::decode_tensor(bytes, offset);
-  if (offset != end) {
-    throw std::runtime_error("checkpoint: trailing bytes in " + path.string());
-  }
+  auto io = tensor::StateIo::reader(bytes);
+  ModelImage image;
+  persist_model(io, image, bytes, path.string());
   // Seed is irrelevant: every weight is overwritten below.
   tensor::Rng rng(0);
-  nn::Classifier model =
-      nn::make_classifier(arch, input_dim, num_classes, rng);
-  model.set_flat_weights(weights);
+  nn::Classifier model = nn::make_classifier(image.arch, image.input_dim,
+                                             image.num_classes, rng);
+  model.set_flat_weights(image.weights);
   return model;
 }
 
@@ -309,157 +306,148 @@ RunHistory import_history_csv(const std::filesystem::path& path,
 
 namespace {
 
-void put_history(const RunHistory& history, std::vector<std::byte>& out) {
-  tensor::put_u64(history.rounds.size(), out);
-  for (const RoundMetrics& m : history.rounds) {
-    tensor::put_u64(m.round, out);
-    out.push_back(static_cast<std::byte>(m.server_accuracy ? 1 : 0));
-    if (m.server_accuracy) tensor::put_f32(*m.server_accuracy, out);
-    tensor::put_f32(m.mean_client_accuracy, out);
-    tensor::put_u64(m.client_accuracy.size(), out);
-    for (float acc : m.client_accuracy) tensor::put_f32(acc, out);
-    tensor::put_u64(m.cumulative_bytes, out);
-    // Wall-clock stage times are not serialized: they are non-deterministic
-    // and meaningless across process restarts. Fault counters are.
-    out.push_back(static_cast<std::byte>(m.fault_stats ? 1 : 0));
-    if (m.fault_stats) {
-      const RoundFaultStats& f = *m.fault_stats;
-      tensor::put_u64(f.send_attempts, out);
-      tensor::put_u64(f.retries, out);
-      tensor::put_u64(f.frames_dropped, out);
-      tensor::put_u64(f.corrupt_frames, out);
-      tensor::put_u64(f.bundles_lost, out);
-      tensor::put_u64(f.stragglers_excluded, out);
-      tensor::put_u64(f.rejected_contributions, out);
-      tensor::put_u64(f.quorum_misses, out);
-      tensor::put_u64(f.clients_crashed, out);
-      tensor::put_u64(f.attacks_injected, out);
-      tensor::put_u64(f.anomaly_excluded, out);
-      tensor::put_u64(f.clipped_contributions, out);
-      tensor::put_f64(f.max_upload_latency_ms, out);
+/// One round of the run history. Wall-clock stage times and the pool's
+/// hydration counters are not serialized: they are non-deterministic and
+/// meaningless across process restarts. Fault and engine counters (the
+/// latter on the simulated clock) are.
+void persist_round(tensor::StateIo& io, RoundMetrics& m) {
+  io.size(m.round);
+  io.optional(m.server_accuracy, [&](float& acc) { io.f32(acc); });
+  io.f32(m.mean_client_accuracy);
+  io.seq(m.client_accuracy, 4, "checkpoint: client accuracies",
+         [&](float& acc) { io.f32(acc); });
+  io.size(m.cumulative_bytes);
+  io.optional(m.fault_stats, [&](RoundFaultStats& f) {
+    for (std::size_t* counter :
+         {&f.send_attempts, &f.retries, &f.frames_dropped, &f.corrupt_frames,
+          &f.bundles_lost, &f.stragglers_excluded, &f.rejected_contributions,
+          &f.quorum_misses, &f.clients_crashed, &f.attacks_injected,
+          &f.anomaly_excluded, &f.clipped_contributions}) {
+      io.size(*counter);
     }
-    tensor::put_u64(m.anomaly.size(), out);
-    for (const ClientAnomaly& a : m.anomaly) {
-      tensor::put_u32(static_cast<std::uint32_t>(a.node), out);
-      tensor::put_f32(a.score, out);
-      out.push_back(static_cast<std::byte>(a.excluded ? 1 : 0));
-      put_string(a.reason, out);
+    io.f64(f.max_upload_latency_ms);
+  });
+  // Per record: u32 node, f32 score, flag, u32 reason length.
+  io.seq(m.anomaly, 13, "checkpoint: anomaly records", [&](ClientAnomaly& a) {
+    io.i32(a.node);
+    io.f32(a.score);
+    io.flag(a.excluded);
+    io.string(a.reason);
+  });
+  io.optional(m.engine_stats, [&](RoundEngineStats& e) {
+    io.f64(e.round_start_ms);
+    io.f64(e.round_end_ms);
+    for (std::size_t* counter :
+         {&e.buffer_flushes, &e.aggregated_uploads, &e.buffered_uploads,
+          &e.inflight_uploads, &e.busy_skips}) {
+      io.size(*counter);
     }
-    // Engine counters are deterministic on the simulated clock (unlike the
-    // wall-clock spans), so checkpoint v5 carries them.
-    out.push_back(static_cast<std::byte>(m.engine_stats ? 1 : 0));
-    if (m.engine_stats) {
-      const RoundEngineStats& e = *m.engine_stats;
-      tensor::put_f64(e.round_start_ms, out);
-      tensor::put_f64(e.round_end_ms, out);
-      tensor::put_u64(e.buffer_flushes, out);
-      tensor::put_u64(e.aggregated_uploads, out);
-      tensor::put_u64(e.buffered_uploads, out);
-      tensor::put_u64(e.inflight_uploads, out);
-      tensor::put_u64(e.busy_skips, out);
-      for (std::size_t bucket : e.staleness_hist) {
-        tensor::put_u64(bucket, out);
-      }
-      tensor::put_u64(e.max_staleness, out);
-    }
-  }
+    for (std::size_t& bucket : e.staleness_hist) io.size(bucket);
+    io.size(e.max_staleness);
+  });
 }
 
-RunHistory get_history(std::span<const std::byte> bytes, std::size_t& offset,
-                       std::string algorithm) {
-  RunHistory history;
-  history.algorithm = std::move(algorithm);
-  const auto rounds = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  history.rounds.reserve(rounds);
-  for (std::size_t r = 0; r < rounds; ++r) {
-    RoundMetrics m;
-    m.round = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-    if (offset >= bytes.size()) {
-      throw std::runtime_error("checkpoint: truncated history");
-    }
-    const bool has_server = bytes[offset++] != std::byte{0};
-    if (has_server) m.server_accuracy = tensor::get_f32(bytes, offset);
-    m.mean_client_accuracy = tensor::get_f32(bytes, offset);
-    const auto accs = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-    if (accs > (bytes.size() - offset) / 4) {
-      throw std::runtime_error("checkpoint: truncated history");
-    }
-    m.client_accuracy.reserve(accs);
-    for (std::size_t i = 0; i < accs; ++i) {
-      m.client_accuracy.push_back(tensor::get_f32(bytes, offset));
-    }
-    m.cumulative_bytes = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-    if (offset >= bytes.size()) {
-      throw std::runtime_error("checkpoint: truncated history");
-    }
-    const bool has_faults = bytes[offset++] != std::byte{0};
-    if (has_faults) {
-      RoundFaultStats f;
-      f.send_attempts = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      f.retries = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      f.frames_dropped =
-          static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      f.corrupt_frames =
-          static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      f.bundles_lost = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      f.stragglers_excluded =
-          static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      f.rejected_contributions =
-          static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      f.quorum_misses = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      f.clients_crashed =
-          static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      f.attacks_injected =
-          static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      f.anomaly_excluded =
-          static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      f.clipped_contributions =
-          static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      f.max_upload_latency_ms = tensor::get_f64(bytes, offset);
-      m.fault_stats = f;
-    }
-    const auto anomalies =
-        static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-    if (anomalies > (bytes.size() - offset) / 9) {  // >= 9 bytes per record
-      throw std::runtime_error("checkpoint: truncated history");
-    }
-    m.anomaly.reserve(anomalies);
-    for (std::size_t i = 0; i < anomalies; ++i) {
-      ClientAnomaly a;
-      a.node = static_cast<std::int32_t>(tensor::get_u32(bytes, offset));
-      a.score = tensor::get_f32(bytes, offset);
-      if (offset >= bytes.size()) {
-        throw std::runtime_error("checkpoint: truncated history");
-      }
-      a.excluded = bytes[offset++] != std::byte{0};
-      a.reason = get_string(bytes, offset);
-      m.anomaly.push_back(std::move(a));
-    }
-    if (offset >= bytes.size()) {
-      throw std::runtime_error("checkpoint: truncated history");
-    }
-    const bool has_engine = bytes[offset++] != std::byte{0};
-    if (has_engine) {
-      RoundEngineStats e;
-      e.round_start_ms = tensor::get_f64(bytes, offset);
-      e.round_end_ms = tensor::get_f64(bytes, offset);
-      e.buffer_flushes = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      e.aggregated_uploads =
-          static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      e.buffered_uploads =
-          static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      e.inflight_uploads =
-          static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      e.busy_skips = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      for (std::size_t& bucket : e.staleness_hist) {
-        bucket = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      }
-      e.max_staleness = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-      m.engine_stats = e;
-    }
-    history.rounds.push_back(std::move(m));
+// Smallest encoded round: round, flag, mean accuracy, accuracy count,
+// cumulative bytes, flag, anomaly count, flag.
+constexpr std::size_t kMinRoundBytes = 8 + 1 + 4 + 8 + 8 + 1 + 8 + 1;
+// A meter record: round, from, to, kind byte, bytes.
+constexpr std::size_t kTrafficRecordBytes = 8 + 4 + 4 + 1 + 8;
+
+/// The 'FPKR' federation checkpoint, both directions: header, federation
+/// RNG, participation sampler, fault injector, attack injector, weight-norm
+/// tracker, traffic meter log, client count, client pool, event engine,
+/// the length-prefixed algorithm blob, and the run history. Read mode
+/// restores every piece into `fed` and `algorithm`.
+void persist_federation(tensor::StateIo& io, Algorithm& algorithm,
+                        Federation& fed, std::size_t& next_round,
+                        RunHistory& history, const std::string& origin) {
+  std::uint32_t magic = kRunMagic;
+  io.u32(magic);
+  if (magic != kRunMagic) {
+    throw std::runtime_error("checkpoint: bad magic in " + origin);
   }
-  return history;
+  std::uint32_t version = kRunVersion;
+  io.u32(version);
+  if (version != kRunVersion) {
+    throw std::runtime_error("checkpoint: unsupported version in " + origin);
+  }
+  std::string name = algorithm.name();
+  io.string(name);
+  if (name != algorithm.name()) {
+    throw std::runtime_error("checkpoint: recorded for algorithm '" + name +
+                             "', resuming '" + algorithm.name() + "'");
+  }
+  io.size(next_round);
+  io.rng(fed.rng);
+
+  Federation::ParticipationState participation = fed.participation_state();
+  io.seq(participation.active_indices, 8, "checkpoint: participation state",
+         [&](std::size_t& i) { io.size(i); });
+  tensor::Rng participation_rng(0);
+  participation_rng.set_state(participation.rng);
+  io.rng(participation_rng);
+  participation.rng = participation_rng.state();
+  io.flag(participation.sampled_once);
+  io.size(participation.begun_round);
+  if (io.reading()) fed.restore_participation(participation);
+
+  fed.channel.faults().persist(io);
+  // Like the fault plan, the attack plan itself is not serialized: resume
+  // re-applies the plan and this restores only the mutable position (the
+  // free-rider replay cache and the adaptive norm history).
+  fed.attacks.persist(io);
+  fed.norm_tracker.persist(io);
+
+  std::vector<comm::TrafficRecord> records;
+  if (!io.reading()) records = fed.meter.records();
+  io.seq(records, kTrafficRecordBytes, "checkpoint: traffic log",
+         [&](comm::TrafficRecord& r) {
+           io.size(r.round);
+           io.i32(r.from);
+           io.i32(r.to);
+           auto kind = static_cast<std::uint8_t>(r.kind);
+           io.u8(kind);
+           r.kind = static_cast<comm::PayloadKind>(kind);
+           io.size(r.bytes);
+         });
+  std::size_t meter_round = fed.meter.current_round();
+  io.size(meter_round);
+  if (io.reading()) fed.meter.restore(std::move(records), meter_round);
+
+  std::size_t clients = fed.num_clients();
+  io.size(clients);
+  if (clients != fed.num_clients()) {
+    throw std::runtime_error("checkpoint: recorded " + std::to_string(clients) +
+                             " clients, federation has " +
+                             std::to_string(fed.num_clients()));
+  }
+  fed.pool.persist(io);
+  fed.engine.persist(io);
+
+  // The algorithm blob is length-prefixed, and its reader is bounded to it,
+  // so a buggy algorithm decoder cannot read into the history.
+  if (io.reading()) {
+    std::size_t blob_size = 0;
+    io.size(blob_size);
+    auto blob = tensor::StateIo::reader(
+        io.take(blob_size, "checkpoint: truncated algorithm state"));
+    algorithm.persist(blob);
+    if (blob.offset() != blob_size) {
+      throw std::runtime_error(
+          "checkpoint: algorithm state size mismatch (recorded " +
+          std::to_string(blob_size) + " bytes, decoder consumed " +
+          std::to_string(blob.offset()) + ")");
+    }
+  } else {
+    std::vector<std::byte> blob;
+    auto algo_io = tensor::StateIo::writer(blob);
+    algorithm.persist(algo_io);
+    io.blob(blob);
+  }
+
+  if (io.reading()) history.algorithm = name;
+  io.seq(history.rounds, kMinRoundBytes, "checkpoint: history",
+         [&](RoundMetrics& m) { persist_round(io, m); });
 }
 
 }  // namespace
@@ -474,54 +462,10 @@ std::vector<std::byte> encode_federation_checkpoint(Algorithm& algorithm,
                                 " does not support crash-resume");
   }
   std::vector<std::byte> out;
-  tensor::put_u32(kRunMagic, out);
-  tensor::put_u32(kRunVersion, out);
-  put_string(algorithm.name(), out);
-  tensor::put_u64(next_round, out);
-  tensor::put_rng(fed.rng, out);
-
-  const Federation::ParticipationState participation =
-      fed.participation_state();
-  tensor::put_u64(participation.active_indices.size(), out);
-  for (std::size_t i : participation.active_indices) tensor::put_u64(i, out);
-  {
-    tensor::Rng tmp(0);
-    tmp.set_state(participation.rng);
-    tensor::put_rng(tmp, out);
-  }
-  out.push_back(static_cast<std::byte>(participation.sampled_once ? 1 : 0));
-  tensor::put_u64(participation.begun_round, out);
-
-  fed.channel.faults().save_state(out);
-  // Like the fault plan, the attack plan itself is not serialized: resume
-  // re-applies the plan and this restores only the mutable position (the
-  // free-rider replay cache and the adaptive norm history).
-  fed.attacks.save_state(out);
-  fed.norm_tracker.save_state(out);
-
-  const auto& records = fed.meter.records();
-  tensor::put_u64(records.size(), out);
-  for (const comm::TrafficRecord& r : records) {
-    tensor::put_u64(r.round, out);
-    tensor::put_u32(static_cast<std::uint32_t>(r.from), out);
-    tensor::put_u32(static_cast<std::uint32_t>(r.to), out);
-    out.push_back(static_cast<std::byte>(r.kind));
-    tensor::put_u64(r.bytes, out);
-  }
-  tensor::put_u64(fed.meter.current_round(), out);
-
-  tensor::put_u64(fed.num_clients(), out);
-  fed.pool.save_state(out);
-  fed.engine.save_state(out);
-
-  // The algorithm blob is length-prefixed so load can bound its reads even
-  // if the algorithm's own decoder is buggy.
-  std::vector<std::byte> algo_blob;
-  algorithm.save_state(algo_blob);
-  tensor::put_u64(algo_blob.size(), out);
-  out.insert(out.end(), algo_blob.begin(), algo_blob.end());
-
-  put_history(history, out);
+  auto io = tensor::StateIo::writer(out);
+  // Write mode only reads the history.
+  persist_federation(io, algorithm, fed, next_round,
+                     const_cast<RunHistory&>(history), {});
   return out;
 }
 
@@ -529,93 +473,11 @@ FederationResume decode_federation_checkpoint(std::span<const std::byte> bytes,
                                               Algorithm& algorithm,
                                               Federation& fed,
                                               const std::string& origin) {
-  std::size_t offset = 0;
-  if (bytes.size() < 8 || tensor::get_u32(bytes, offset) != kRunMagic) {
-    throw std::runtime_error("checkpoint: bad magic in " + origin);
-  }
-  if (tensor::get_u32(bytes, offset) != kRunVersion) {
-    throw std::runtime_error("checkpoint: unsupported version in " + origin);
-  }
-  const std::string name = get_string(bytes, offset);
-  if (name != algorithm.name()) {
-    throw std::runtime_error("checkpoint: recorded for algorithm '" + name +
-                             "', resuming '" + algorithm.name() + "'");
-  }
+  auto io = tensor::StateIo::reader(bytes);
   FederationResume resume;
-  resume.next_round = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  fed.rng = tensor::get_rng(bytes, offset);
-
-  Federation::ParticipationState participation;
-  const auto actives = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  if (actives > (bytes.size() - offset) / 8) {
-    throw std::runtime_error("checkpoint: truncated participation state");
-  }
-  participation.active_indices.reserve(actives);
-  for (std::size_t i = 0; i < actives; ++i) {
-    participation.active_indices.push_back(
-        static_cast<std::size_t>(tensor::get_u64(bytes, offset)));
-  }
-  participation.rng = tensor::get_rng(bytes, offset).state();
-  if (offset >= bytes.size()) {
-    throw std::runtime_error("checkpoint: truncated participation state");
-  }
-  participation.sampled_once = bytes[offset++] != std::byte{0};
-  participation.begun_round =
-      static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  fed.restore_participation(participation);
-
-  fed.channel.faults().load_state(bytes, offset);
-  fed.attacks.load_state(bytes, offset);
-  fed.norm_tracker.load_state(bytes, offset);
-
-  const auto record_count =
-      static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  if (record_count > (bytes.size() - offset) / 25) {  // 25 bytes per record
-    throw std::runtime_error("checkpoint: truncated traffic log");
-  }
-  std::vector<comm::TrafficRecord> records;
-  records.reserve(record_count);
-  for (std::size_t i = 0; i < record_count; ++i) {
-    comm::TrafficRecord r;
-    r.round = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-    r.from = static_cast<comm::NodeId>(tensor::get_u32(bytes, offset));
-    r.to = static_cast<comm::NodeId>(tensor::get_u32(bytes, offset));
-    if (offset >= bytes.size()) {
-      throw std::runtime_error("checkpoint: truncated traffic log");
-    }
-    r.kind = static_cast<comm::PayloadKind>(bytes[offset++]);
-    r.bytes = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-    records.push_back(r);
-  }
-  const auto meter_round =
-      static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  fed.meter.restore(std::move(records), meter_round);
-
-  const auto clients = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  if (clients != fed.num_clients()) {
-    throw std::runtime_error("checkpoint: recorded " + std::to_string(clients) +
-                             " clients, federation has " +
-                             std::to_string(fed.num_clients()));
-  }
-  fed.pool.load_state(bytes, offset);
-  fed.engine.load_state(bytes, offset);
-
-  const auto blob_size =
-      static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  if (blob_size > bytes.size() - offset) {
-    throw std::runtime_error("checkpoint: truncated algorithm state");
-  }
-  const std::size_t blob_end = offset + blob_size;
-  algorithm.load_state(bytes, offset);
-  if (offset != blob_end) {
-    throw std::runtime_error(
-        "checkpoint: algorithm state size mismatch (recorded " +
-        std::to_string(blob_size) + " bytes, decoder consumed " +
-        std::to_string(offset - (blob_end - blob_size)) + ")");
-  }
-
-  resume.history = get_history(bytes, offset, name);
-  if (offset != bytes.size()) {
+  persist_federation(io, algorithm, fed, resume.next_round, resume.history,
+                     origin);
+  if (io.offset() != bytes.size()) {
     throw std::runtime_error("checkpoint: trailing bytes in " + origin);
   }
   return resume;

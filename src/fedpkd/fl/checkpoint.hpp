@@ -17,12 +17,11 @@ namespace fedpkd::fl {
 /// Model and run-history persistence.
 ///
 /// Checkpoints let a long federated run resume after interruption and let
-/// downstream users ship trained server models. The format reuses the wire
-/// tensor codec, prefixed with the architecture and dimensions so loading
-/// can rebuild the exact network before restoring weights:
-///
-///   u32 magic 'FPKC' | u32 version | arch string | u64 input_dim |
-///   u64 num_classes | tensor(flat weights)
+/// downstream users ship trained server models. Every binary record is
+/// written and read by one function over tensor::StateIo (the state codec),
+/// which states its byte layout once: the 'FPKC' model record is the
+/// architecture and dimensions, so loading can rebuild the exact network,
+/// followed by the flat weights in the wire tensor format.
 ///
 /// All files written here go through durable::atomic_write_file (tmp + fsync
 /// + rename — a crash mid-save never replaces the old good file with a torn
@@ -57,15 +56,18 @@ void export_history_csv(const RunHistory& history,
 RunHistory import_history_csv(const std::filesystem::path& path,
                               std::string algorithm);
 
-/// -- Federation crash-resume checkpoints (format v3, magic 'FPKR') ----------
+/// -- Federation crash-resume checkpoints (format v6, magic 'FPKR') ----------
 ///
 /// A federation checkpoint captures everything a resumed run needs to
 /// continue bitwise-identically from round `next_round`: the federation RNG,
 /// the participation sampler, the fault injector's dice streams / offline set
 /// / crash cursor, the attack injector's free-rider replay cache, the
-/// adaptive weight-norm history, the traffic meter log, every client's RNG
-/// stream and model weights, the algorithm's cross-round state (via
-/// Algorithm::save_state), and the per-round history executed so far.
+/// adaptive weight-norm history, the traffic meter log, the client pool
+/// (every client's RNG stream and model weights), the event engine's clock,
+/// in-flight uploads and buffer, the algorithm's cross-round state (via
+/// Algorithm::persist), and the per-round history executed so far. The
+/// section layout is stated once, in the codec function persist_federation
+/// (checkpoint.cpp) and the records it calls.
 ///
 /// Run *configuration* — datasets, partition, the FaultPlan, the AttackPlan —
 /// is deliberately not stored: resume rebuilds the identical federation and

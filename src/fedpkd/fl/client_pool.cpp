@@ -21,6 +21,13 @@ constexpr std::uint64_t kModelStream = 0x6d6f0000ull;   // "mo"
 constexpr std::uint64_t kShardStream = 0xda7a0000ull;   // "data"
 constexpr std::uint64_t kClientStream = 0xc11e0000ull;  // "clie"
 
+/// One client's checkpointed record, shared by dehydration blobs and the
+/// resident section: RNG state, then flat weights.
+void persist_client(tensor::StateIo& io, Client& client) {
+  io.rng(client.rng);
+  nn::persist_weights(io, client.model);
+}
+
 }  // namespace
 
 void ClientPool::adopt_resident(std::vector<Client> clients) {
@@ -78,9 +85,8 @@ Client& ClientPool::acquire_locked(std::size_t id) {
   const auto t0 = std::chrono::steady_clock::now();
   auto client = std::make_unique<Client>(build_client(id));
   if (auto it = blobs_.find(id); it != blobs_.end()) {
-    std::size_t offset = 0;
-    client->rng = tensor::get_rng(it->second, offset);
-    client->model.set_flat_weights(tensor::decode_tensor(it->second, offset));
+    auto blob = tensor::StateIo::reader(it->second);
+    persist_client(blob, *client);
   }
   warm_[id] = std::move(client);
   lru_.push_back(id);
@@ -194,101 +200,69 @@ Client ClientPool::build_client(std::size_t id) const {
 
 std::vector<std::byte> ClientPool::dehydrate(Client& client) const {
   std::vector<std::byte> blob;
-  tensor::put_rng(client.rng, blob);
-  tensor::encode_tensor(client.model.flat_weights(), blob);
+  auto io = tensor::StateIo::writer(blob);
+  persist_client(io, client);
   return blob;
 }
 
-void ClientPool::save_state(std::vector<std::byte>& out) {
-  out.push_back(static_cast<std::byte>(virtual_ ? 1 : 0));
-  if (!virtual_) {
-    for (Client& client : resident_) {
-      tensor::put_rng(client.rng, out);
-      tensor::encode_tensor(client.model.flat_weights(), out);
-    }
-    return;
-  }
-  std::scoped_lock lock(mu_);
-  tensor::put_u64(lru_.size(), out);
-  for (std::size_t id : lru_) tensor::put_u64(id, out);
-  // The touched set: every client that diverged from its derivable fresh
-  // state (warm now, or evicted with a blob). Ascending id order keeps the
-  // byte stream deterministic regardless of hash-map iteration order.
-  std::vector<std::size_t> touched;
-  touched.reserve(blobs_.size() + lru_.size());
-  for (const auto& [id, blob] : blobs_) touched.push_back(id);
-  for (std::size_t id : lru_) {
-    if (blobs_.count(id) == 0) touched.push_back(id);
-  }
-  std::sort(touched.begin(), touched.end());
-  tensor::put_u64(touched.size(), out);
-  for (std::size_t id : touched) {
-    tensor::put_u64(id, out);
-    // Warm clients serialize their live state; an evicted client's blob is
-    // current by construction (dehydrated at eviction).
-    const std::vector<std::byte> blob =
-        warm_[id] != nullptr ? dehydrate(*warm_[id]) : blobs_.at(id);
-    tensor::put_u64(blob.size(), out);
-    out.insert(out.end(), blob.begin(), blob.end());
-  }
-}
-
-void ClientPool::load_state(std::span<const std::byte> bytes,
-                            std::size_t& offset) {
-  if (offset >= bytes.size()) {
-    throw std::runtime_error("ClientPool: truncated pool state");
-  }
-  const bool stored_virtual = bytes[offset++] != std::byte{0};
+void ClientPool::persist(tensor::StateIo& io) {
+  bool stored_virtual = virtual_;
+  io.flag(stored_virtual);
   if (stored_virtual != virtual_) {
     throw std::runtime_error(
         "ClientPool: checkpoint pool mode does not match the federation");
   }
   if (!virtual_) {
-    for (Client& client : resident_) {
-      client.rng = tensor::get_rng(bytes, offset);
-      client.model.set_flat_weights(tensor::decode_tensor(bytes, offset));
-    }
+    for (Client& client : resident_) persist_client(io, client);
     return;
   }
   std::scoped_lock lock(mu_);
-  for (auto& slot : warm_) slot.reset();
-  lru_.clear();
-  lru_pos_.clear();
-  blobs_.clear();
-  pinned_.clear();
-  const auto warm_ids = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  if (warm_ids > (bytes.size() - offset) / 8) {
-    throw std::runtime_error("ClientPool: truncated warm-set list");
-  }
-  std::vector<std::size_t> lru_order;
-  lru_order.reserve(warm_ids);
-  for (std::size_t i = 0; i < warm_ids; ++i) {
-    const auto id = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
+  std::vector<std::size_t> lru_order(lru_.begin(), lru_.end());
+  io.seq(lru_order, 8, "ClientPool warm-set list", [&](std::size_t& id) {
+    io.size(id);
     if (id >= spec_.population) {
       throw std::runtime_error("ClientPool: warm id out of range");
     }
-    lru_order.push_back(id);
+  });
+  // The touched set: every client that diverged from its derivable fresh
+  // state (warm now, or evicted with a blob). Ascending id order keeps the
+  // byte stream deterministic regardless of hash-map iteration order.
+  std::vector<std::size_t> touched;
+  if (io.reading()) {
+    for (auto& slot : warm_) slot.reset();
+    lru_.clear();
+    lru_pos_.clear();
+    blobs_.clear();
+    pinned_.clear();
+  } else {
+    touched.reserve(blobs_.size() + lru_.size());
+    for (const auto& [id, blob] : blobs_) touched.push_back(id);
+    for (std::size_t id : lru_) {
+      if (blobs_.count(id) == 0) touched.push_back(id);
+    }
+    std::sort(touched.begin(), touched.end());
   }
-  const auto touched = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  if (touched > (bytes.size() - offset) / 16) {
-    throw std::runtime_error("ClientPool: truncated blob table");
-  }
-  for (std::size_t i = 0; i < touched; ++i) {
-    const auto id = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
+  // Each entry: u64 id + u64 blob length.
+  touched.resize(io.count(touched.size(), 16, "ClientPool blob table"));
+  for (std::size_t& id : touched) {
+    io.size(id);
     if (id >= spec_.population) {
       throw std::runtime_error("ClientPool: blob id out of range");
     }
-    const auto size = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-    if (size > bytes.size() - offset) {
-      throw std::runtime_error("ClientPool: truncated client blob");
+    // Warm clients serialize their live state; an evicted client's blob is
+    // current by construction (dehydrated at eviction).
+    if (!io.reading() && warm_[id] != nullptr) {
+      std::vector<std::byte> live = dehydrate(*warm_[id]);
+      io.blob(live);
+    } else {
+      io.blob(blobs_[id]);
     }
-    blobs_[id].assign(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
-                      bytes.begin() + static_cast<std::ptrdiff_t>(offset + size));
-    offset += size;
   }
   // Rebuild the warm set in recorded recency order so the next eviction
   // decision resumes exactly where the interrupted run left off.
-  for (std::size_t id : lru_order) acquire_locked(id);
+  if (io.reading()) {
+    for (std::size_t id : lru_order) acquire_locked(id);
+  }
 }
 
 }  // namespace fedpkd::fl

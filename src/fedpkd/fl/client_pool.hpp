@@ -41,7 +41,7 @@ struct PoolStats {
 ///    the dataset shard is regenerated from the deterministic SyntheticVision
 ///    sampler (shards are recomputed, never stored), and — if the client was
 ///    trained before — its RNG state and weights are restored from a compact
-///    dehydration blob (checkpoint codecs: put_rng + encode_tensor). Warm
+///    dehydration blob (the state codec's client record). Warm
 ///    clients live in a bounded LRU; eviction dehydrates the least recently
 ///    acquired unpinned client.
 ///
@@ -110,15 +110,15 @@ class ClientPool {
   PoolStats stats() const;
 
   /// The compact dehydration blob of one client: RNG state + flat weights,
-  /// in the checkpoint codec format. Datasets are never stored — shards are
-  /// regenerated from the spec on hydration.
+  /// the same client record the resident checkpoint section uses. Datasets
+  /// are never stored — shards are regenerated from the spec on hydration.
   std::vector<std::byte> dehydrate(Client& client) const;
 
-  /// Checkpoint v4 body: mode byte, then either every resident client's
-  /// RNG + weights (id order, the v3 layout) or the virtual pool state
-  /// (warm-LRU id list in recency order + the touched-client blob table).
-  void save_state(std::vector<std::byte>& out);
-  void load_state(std::span<const std::byte> bytes, std::size_t& offset);
+  /// Checkpoint state (state codec): mode byte, then either every resident
+  /// client's RNG + weights (id order) or the virtual pool state (warm-LRU
+  /// id list in recency order + the touched-client blob table). Reading
+  /// rebuilds the warm set in the recorded recency order.
+  void persist(tensor::StateIo& io);
 
   const VirtualSpec& spec() const { return spec_; }
 

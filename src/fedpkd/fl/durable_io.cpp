@@ -12,6 +12,7 @@
 #include <system_error>
 
 #include "fedpkd/comm/frame.hpp"
+#include "fedpkd/tensor/serialize.hpp"
 
 namespace fedpkd::fl::durable {
 
@@ -26,33 +27,30 @@ constexpr std::uint32_t kManifestMagic = 0x464b4d31;  // 'FKM1'
                            "': " + std::strerror(err));
 }
 
-std::uint32_t load_u32(const std::byte* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | std::to_integer<std::uint32_t>(p[i]);
-  }
-  return v;
-}
+/// The 16-byte integrity footer: u32 CRC32 of the payload | u64 payload
+/// size | u32 magic 'FPKS'.
+struct Footer {
+  std::uint32_t crc = 0;
+  std::uint64_t payload_size = 0;
+  std::uint32_t magic = kFooterMagic;
 
-std::uint64_t load_u64(const std::byte* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | std::to_integer<std::uint64_t>(p[i]);
+  void persist(tensor::StateIo& io) {
+    io.u32(crc);
+    io.u64(payload_size);
+    io.u32(magic);
   }
-  return v;
-}
+};
 
-void store_u32(std::uint32_t v, std::vector<std::byte>& out) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xffu));
-  }
-}
+/// The chain manifest payload: u32 magic 'FKM1' | u64 last-good generation.
+struct Manifest {
+  std::uint32_t magic = kManifestMagic;
+  std::uint64_t generation = 0;
 
-void store_u64(std::uint64_t v, std::vector<std::byte>& out) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xffu));
+  void persist(tensor::StateIo& io) {
+    io.u32(magic);
+    io.u64(generation);
   }
-}
+};
 
 /// RAII fd so every error path closes the descriptor exactly once.
 class Fd {
@@ -185,10 +183,9 @@ bool arm_crash_points_from_env() {
 }
 
 void append_footer(std::vector<std::byte>& payload) {
-  const std::uint32_t crc = comm::crc32(payload);
-  store_u32(crc, payload);
-  store_u64(static_cast<std::uint64_t>(payload.size() - 4), payload);
-  store_u32(kFooterMagic, payload);
+  Footer footer{.crc = comm::crc32(payload), .payload_size = payload.size()};
+  auto io = tensor::StateIo::writer(payload);
+  footer.persist(io);
 }
 
 std::size_t verified_payload_size(std::span<const std::byte> sealed,
@@ -196,24 +193,23 @@ std::size_t verified_payload_size(std::span<const std::byte> sealed,
   if (sealed.size() < kFooterSize) {
     throw std::runtime_error(origin + ": file too small for integrity footer");
   }
-  const std::byte* foot = sealed.data() + sealed.size() - kFooterSize;
-  if (load_u32(foot + 12) != kFooterMagic) {
+  Footer footer;
+  auto io = tensor::StateIo::reader(sealed.last(kFooterSize));
+  footer.persist(io);
+  if (footer.magic != kFooterMagic) {
     throw std::runtime_error(origin + ": integrity footer magic mismatch");
   }
-  const std::uint64_t payload_size = load_u64(foot + 4);
-  if (payload_size != sealed.size() - kFooterSize) {
+  if (footer.payload_size != sealed.size() - kFooterSize) {
     throw std::runtime_error(origin + ": recorded payload size " +
-                             std::to_string(payload_size) +
+                             std::to_string(footer.payload_size) +
                              " disagrees with file size");
   }
-  const std::uint32_t want = load_u32(foot);
-  const std::uint32_t got =
-      comm::crc32(sealed.first(static_cast<std::size_t>(payload_size)));
-  if (want != got) {
+  const auto payload_size = static_cast<std::size_t>(footer.payload_size);
+  if (footer.crc != comm::crc32(sealed.first(payload_size))) {
     throw std::runtime_error(origin + ": CRC32 mismatch (torn write or "
                              "bit corruption)");
   }
-  return static_cast<std::size_t>(payload_size);
+  return payload_size;
 }
 
 void IoFaultInjector::set_plan(const IoFaultPlan& plan) {
@@ -351,8 +347,12 @@ std::size_t GenerationChain::manifest_generation() const {
     const std::vector<std::byte> sealed = read_file_bytes(manifest_path());
     const std::size_t payload =
         verified_payload_size(sealed, manifest_path().string());
-    if (payload != 12 || load_u32(sealed.data()) != kManifestMagic) return 0;
-    return static_cast<std::size_t>(load_u64(sealed.data() + 4));
+    if (payload != 12) return 0;
+    Manifest manifest;
+    auto io = tensor::StateIo::reader(sealed);
+    manifest.persist(io);
+    if (manifest.magic != kManifestMagic) return 0;
+    return static_cast<std::size_t>(manifest.generation);
   } catch (const std::runtime_error&) {
     return 0;  // torn/corrupt manifest: caller falls back to a scan
   }
@@ -393,8 +393,8 @@ std::size_t GenerationChain::commit(std::vector<std::byte> payload) {
   crash_point("chain:post_data");
 
   std::vector<std::byte> manifest;
-  store_u32(kManifestMagic, manifest);
-  store_u64(static_cast<std::uint64_t>(generation), manifest);
+  auto manifest_io = tensor::StateIo::writer(manifest);
+  Manifest{.generation = generation}.persist(manifest_io);
   append_footer(manifest);
   atomic_write_file(manifest_path(), manifest, io_);
   crash_point("chain:post_manifest");

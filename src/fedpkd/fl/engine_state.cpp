@@ -1,7 +1,6 @@
 #include "fedpkd/fl/engine_state.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "fedpkd/tensor/serialize.hpp"
 
@@ -33,105 +32,40 @@ void EngineState::set_pulled(std::uint32_t client, std::uint64_t version) {
 
 namespace {
 
-void put_upload(const EngineState::PendingUpload& up,
-                std::vector<std::byte>& out) {
-  tensor::put_u32(up.client, out);
-  tensor::put_u64(up.trained_version, out);
-  tensor::put_f64(up.arrival_ms, out);
-  tensor::put_f64(up.latency_ms, out);
-  tensor::put_f32(up.weight, out);
-  tensor::put_u64(up.seq, out);
-  tensor::put_u64(up.parts.size(), out);
-  for (const std::vector<std::byte>& part : up.parts) {
-    tensor::put_u64(part.size(), out);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-}
+// Each upload is at least 48 bytes: the six scalars and the part count.
+constexpr std::size_t kMinUploadBytes = 4 + 8 + 8 + 8 + 4 + 8 + 8;
 
-EngineState::PendingUpload get_upload(std::span<const std::byte> bytes,
-                                      std::size_t& offset) {
-  EngineState::PendingUpload up;
-  up.client = tensor::get_u32(bytes, offset);
-  up.trained_version = tensor::get_u64(bytes, offset);
-  up.arrival_ms = tensor::get_f64(bytes, offset);
-  up.latency_ms = tensor::get_f64(bytes, offset);
-  up.weight = tensor::get_f32(bytes, offset);
-  up.seq = tensor::get_u64(bytes, offset);
-  const auto parts = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  if (parts > bytes.size() - offset) {  // every part costs >= 8 length bytes
-    throw std::runtime_error("engine state: truncated upload");
-  }
-  up.parts.reserve(parts);
-  for (std::size_t p = 0; p < parts; ++p) {
-    const auto size = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-    if (size > bytes.size() - offset) {
-      throw std::runtime_error("engine state: truncated upload part");
-    }
-    up.parts.emplace_back(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
-                          bytes.begin() +
-                              static_cast<std::ptrdiff_t>(offset + size));
-    offset += size;
-  }
-  return up;
+void persist_upload(tensor::StateIo& io, EngineState::PendingUpload& up) {
+  io.u32(up.client);
+  io.u64(up.trained_version);
+  io.f64(up.arrival_ms);
+  io.f64(up.latency_ms);
+  io.f32(up.weight);
+  io.u64(up.seq);
+  io.seq(up.parts, 8, "engine state: upload parts",
+         [&](std::vector<std::byte>& part) { io.blob(part); });
 }
 
 }  // namespace
 
-void EngineState::save_state(std::vector<std::byte>& out) const {
-  tensor::put_f64(now_ms, out);
-  tensor::put_u64(global_version, out);
-  tensor::put_u64(next_seq, out);
-  tensor::put_u64(pulled_.size(), out);
-  for (const auto& [client, version] : pulled_) {
-    tensor::put_u32(client, out);
-    tensor::put_u64(version, out);
-  }
-  tensor::put_u64(in_flight.size(), out);
-  for (const PendingUpload& up : in_flight) put_upload(up, out);
-  tensor::put_u64(buffer.size(), out);
-  for (const PendingUpload& up : buffer) put_upload(up, out);
-}
-
-void EngineState::load_state(std::span<const std::byte> bytes,
-                             std::size_t& offset) {
-  now_ms = tensor::get_f64(bytes, offset);
-  global_version = tensor::get_u64(bytes, offset);
-  next_seq = tensor::get_u64(bytes, offset);
-  const auto cursors = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  if (cursors > (bytes.size() - offset) / 12) {  // 12 bytes per cursor
-    throw std::runtime_error("engine state: truncated cursors");
-  }
-  pulled_.clear();
-  pulled_.reserve(cursors);
-  for (std::size_t i = 0; i < cursors; ++i) {
-    const std::uint32_t client = tensor::get_u32(bytes, offset);
-    const std::uint64_t version = tensor::get_u64(bytes, offset);
-    pulled_.emplace_back(client, version);
-  }
-  if (!std::is_sorted(pulled_.begin(), pulled_.end(),
+void EngineState::persist(tensor::StateIo& io) {
+  io.f64(now_ms);
+  io.u64(global_version);
+  io.u64(next_seq);
+  io.seq(pulled_, 12, "engine state: cursors", [&](auto& cursor) {
+    io.u32(cursor.first);
+    io.u64(cursor.second);
+  });
+  if (io.reading() &&
+      !std::is_sorted(pulled_.begin(), pulled_.end(),
                       [](const auto& a, const auto& b) {
                         return a.first < b.first;
                       })) {
-    throw std::runtime_error("engine state: unsorted cursors");
+    throw tensor::DecodeError("engine state: unsorted cursors");
   }
-  const auto inflight = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  if (inflight > (bytes.size() - offset) / 41) {  // >= 41 bytes per upload
-    throw std::runtime_error("engine state: truncated in-flight queue");
-  }
-  in_flight.clear();
-  in_flight.reserve(inflight);
-  for (std::size_t i = 0; i < inflight; ++i) {
-    in_flight.push_back(get_upload(bytes, offset));
-  }
-  const auto buffered = static_cast<std::size_t>(tensor::get_u64(bytes, offset));
-  if (buffered > (bytes.size() - offset) / 41) {
-    throw std::runtime_error("engine state: truncated buffer");
-  }
-  buffer.clear();
-  buffer.reserve(buffered);
-  for (std::size_t i = 0; i < buffered; ++i) {
-    buffer.push_back(get_upload(bytes, offset));
-  }
+  const auto upload = [&](PendingUpload& up) { persist_upload(io, up); };
+  io.seq(in_flight, kMinUploadBytes, "engine state: in-flight queue", upload);
+  io.seq(buffer, kMinUploadBytes, "engine state: buffer", upload);
 }
 
 }  // namespace fedpkd::fl

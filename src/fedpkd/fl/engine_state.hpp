@@ -2,8 +2,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
+
+namespace fedpkd::tensor {
+class StateIo;
+}
 
 namespace fedpkd::fl {
 
@@ -54,8 +57,8 @@ struct EngineState {
   std::uint64_t pulled_version(std::uint32_t client) const;
   void set_pulled(std::uint32_t client, std::uint64_t version);
 
-  void save_state(std::vector<std::byte>& out) const;
-  void load_state(std::span<const std::byte> bytes, std::size_t& offset);
+  /// Checkpoint state, through the state codec.
+  void persist(tensor::StateIo& io);
 
  private:
   /// Per-client staleness cursors, ascending by client id.

@@ -75,13 +75,6 @@ void FedAvg::server_step(RoundContext& ctx,
   global_.set_flat_weights(accum);
 }
 
-void FedAvg::save_state(std::vector<std::byte>& out) {
-  tensor::encode_tensor(global_.flat_weights(), out);
-}
-
-void FedAvg::load_state(std::span<const std::byte> bytes,
-                        std::size_t& offset) {
-  global_.set_flat_weights(tensor::decode_tensor(bytes, offset));
-}
+void FedAvg::persist(tensor::StateIo& io) { nn::persist_weights(io, global_); }
 
 }  // namespace fedpkd::fl

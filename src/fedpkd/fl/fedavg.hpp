@@ -39,9 +39,7 @@ class FedAvg : public StagedAlgorithm {
   /// and RNG streams are checkpointed by the federation layer). FedProx
   /// inherits this unchanged.
   bool supports_resume() const override { return true; }
-  void save_state(std::vector<std::byte>& out) override;
-  void load_state(std::span<const std::byte> bytes,
-                  std::size_t& offset) override;
+  void persist(tensor::StateIo& io) override;
 
  protected:
   void set_name(std::string name) { proximal_name_ = std::move(name); }

@@ -325,16 +325,12 @@ class Algorithm {
   virtual const RoundEngineStats* last_engine_stats() const { return nullptr; }
 
   /// -- Crash-resume hooks ---------------------------------------------------
-  /// Algorithms opting into federation checkpoints serialize their full
-  /// cross-round state (server weights, server RNG, retained knowledge) so a
-  /// resumed run continues bitwise from the interrupted one.
+  /// Algorithms opting into federation checkpoints state their full
+  /// cross-round state (server weights, server RNG, retained knowledge) once
+  /// through the state codec — written or read back depending on the mode of
+  /// `io` — so a resumed run continues bitwise from the interrupted one.
   virtual bool supports_resume() const { return false; }
-  virtual void save_state(std::vector<std::byte>& out) { (void)out; }
-  virtual void load_state(std::span<const std::byte> bytes,
-                          std::size_t& offset) {
-    (void)bytes;
-    (void)offset;
-  }
+  virtual void persist(tensor::StateIo& io) { (void)io; }
 };
 
 struct RunOptions {

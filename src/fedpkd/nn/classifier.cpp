@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "fedpkd/tensor/ops.hpp"
+#include "fedpkd/tensor/serialize.hpp"
 
 namespace fedpkd::nn {
 
@@ -111,6 +112,18 @@ Classifier Classifier::clone() const {
   head_generic.release();
   return Classifier(arch_, std::move(body_copy),
                     std::unique_ptr<Linear>(head_raw), input_dim_);
+}
+
+void persist_weights(tensor::StateIo& io, Classifier& model) {
+  Tensor flat = io.reading() ? Tensor() : model.flat_weights();
+  io.tensor(flat);
+  if (!io.reading()) return;
+  if (flat.rank() != 1 || flat.numel() != model.parameter_count()) {
+    throw tensor::DecodeError("state: " + std::to_string(flat.numel()) +
+                              " weights for a model with " +
+                              std::to_string(model.parameter_count()));
+  }
+  model.set_flat_weights(flat);
 }
 
 }  // namespace fedpkd::nn

@@ -6,6 +6,10 @@
 #include "fedpkd/nn/linear.hpp"
 #include "fedpkd/nn/module.hpp"
 
+namespace fedpkd::tensor {
+class StateIo;
+}
+
 namespace fedpkd::nn {
 
 /// A classification model split into a feature extractor ("body", the paper's
@@ -94,5 +98,9 @@ class Classifier {
   Tensor eval_features_;  // logits_into scratch, separate from backward state
   bool forward_through_head_ = false;
 };
+
+/// State codec field for a model's flat weights (one tensor). Read mode
+/// throws tensor::DecodeError when the tensor does not fit the architecture.
+void persist_weights(tensor::StateIo& io, Classifier& model);
 
 }  // namespace fedpkd::nn

@@ -165,40 +165,18 @@ bool AttackInjector::apply(std::size_t round, comm::NodeId node,
   return true;
 }
 
-void AttackInjector::save_state(std::vector<std::byte>& out) const {
-  tensor::put_u32(static_cast<std::uint32_t>(replay_cache_.size()), out);
-  for (const auto& [node, cached_parts] : replay_cache_) {
-    tensor::put_u32(static_cast<std::uint32_t>(node), out);
-    tensor::put_u32(static_cast<std::uint32_t>(cached_parts.size()), out);
-    for (const std::vector<std::byte>& part : cached_parts) {
-      tensor::put_u64(part.size(), out);
-      out.insert(out.end(), part.begin(), part.end());
-    }
-  }
-}
-
-void AttackInjector::load_state(std::span<const std::byte> bytes,
-                                std::size_t& offset) {
-  replay_cache_.clear();
-  const std::uint32_t nodes = tensor::get_u32(bytes, offset);
-  for (std::uint32_t i = 0; i < nodes; ++i) {
-    const comm::NodeId node =
-        static_cast<comm::NodeId>(tensor::get_u32(bytes, offset));
-    const std::uint32_t num_parts = tensor::get_u32(bytes, offset);
-    std::vector<std::vector<std::byte>> cached_parts;
-    cached_parts.reserve(num_parts);
-    for (std::uint32_t p = 0; p < num_parts; ++p) {
-      const std::uint64_t len = tensor::get_u64(bytes, offset);
-      if (offset + len > bytes.size()) {
-        throw tensor::DecodeError(
-            "AttackInjector: truncated replay cache entry");
-      }
-      cached_parts.emplace_back(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
-                                bytes.begin() + static_cast<std::ptrdiff_t>(offset + len));
-      offset += static_cast<std::size_t>(len);
-    }
-    replay_cache_.emplace(node, std::move(cached_parts));
-  }
+void AttackInjector::persist(tensor::StateIo& io) {
+  // Per node: u32 node id, u32 part count, then each part as a blob.
+  const std::size_t nodes =
+      io.count32(replay_cache_.size(), 8, "AttackInjector replay cache");
+  io.entries(replay_cache_, nodes,
+             [&](comm::NodeId& node,
+                 std::vector<std::vector<std::byte>>& cached_parts) {
+               io.i32(node);
+               cached_parts.resize(io.count32(cached_parts.size(), 8,
+                                              "AttackInjector cached parts"));
+               for (std::vector<std::byte>& part : cached_parts) io.blob(part);
+             });
 }
 
 }  // namespace fedpkd::robust

@@ -64,10 +64,10 @@ struct AttackPlan {
 void flip_labels(std::vector<int>& labels, std::size_t num_classes);
 
 /// Executes an AttackPlan. Stateless except for the free-rider replay cache,
-/// which is serialized by save_state/load_state so a run resumed from a
-/// checkpoint mid-attack replays bitwise-identically. Like comm::FaultInjector
-/// the plan itself is NOT serialized: resume re-applies the plan from
-/// configuration, load_state restores only the injector's position.
+/// which persist() checkpoints so a run resumed from a checkpoint mid-attack
+/// replays bitwise-identically. Like comm::FaultInjector the plan itself is
+/// NOT serialized: resume re-applies the plan from configuration, reading
+/// the state restores only the injector's position.
 class AttackInjector {
  public:
   /// Validates and installs a plan (duplicate adversary nodes and non-finite
@@ -91,9 +91,8 @@ class AttackInjector {
   bool apply(std::size_t round, comm::NodeId node,
              std::vector<Payload>& parts);
 
-  /// Serializes the free-rider replay cache (checkpoint v3).
-  void save_state(std::vector<std::byte>& out) const;
-  void load_state(std::span<const std::byte> bytes, std::size_t& offset);
+  /// The free-rider replay cache, through the state codec.
+  void persist(tensor::StateIo& io);
 
  private:
   AttackPlan plan_;

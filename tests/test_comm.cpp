@@ -528,12 +528,13 @@ TEST(FaultInjector, SaveLoadStateReplaysIdenticalDice) {
   a.set_node_offline(3, true);
 
   std::vector<std::byte> blob;
-  a.save_state(blob);
+  auto writer = tensor::StateIo::writer(blob);
+  a.persist(writer);
   FaultInjector b;
   b.set_plan(plan);  // resume re-applies the same run configuration
-  std::size_t offset = 0;
-  b.load_state(blob, offset);
-  EXPECT_EQ(offset, blob.size());
+  auto reader = tensor::StateIo::reader(blob);
+  b.persist(reader);
+  EXPECT_EQ(reader.offset(), blob.size());
 
   EXPECT_EQ(b.offline_nodes(), a.offline_nodes());
   EXPECT_EQ(b.crash_cursor(), a.crash_cursor());

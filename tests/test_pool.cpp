@@ -392,13 +392,14 @@ TEST(PoolAttacks, FreeRiderReplayCacheSurvivesDehydration) {
   first_half.rounds = 2;
   const fl::RunHistory head = fl::run_federation(*churn, *churn_fed, first_half);
   // Force every client — the free-rider included — through a full
-  // dehydrate -> rehydrate cycle: save_state serializes the warm set as
-  // blobs, load_state drops the warm set and rebuilds it from those blobs.
+  // dehydrate -> rehydrate cycle: writing serializes the warm set as blobs,
+  // reading drops the warm set and rebuilds it from those blobs.
   const fl::PoolStats before_cycle = churn_fed->pool.stats();
   std::vector<std::byte> state;
-  churn_fed->pool.save_state(state);
-  std::size_t offset = 0;
-  churn_fed->pool.load_state(state, offset);
+  auto writer = tensor::StateIo::writer(state);
+  churn_fed->pool.persist(writer);
+  auto reader = tensor::StateIo::reader(state);
+  churn_fed->pool.persist(reader);
   const fl::PoolStats after_cycle = churn_fed->pool.stats();
   EXPECT_GE(after_cycle.hydrations, before_cycle.hydrations + kPop);
   fl::RunOptions second_half = four;

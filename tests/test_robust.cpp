@@ -552,13 +552,14 @@ TEST(WeightNormTracker, StateRoundTripsBitwise) {
   comm::WeightNormTracker tracker;
   for (double v : {3.5, 1.25, 9.0, 2.0, 4.75}) tracker.record(v);
   std::vector<std::byte> blob;
-  tracker.save_state(blob);
+  auto writer = tensor::StateIo::writer(blob);
+  tracker.persist(writer);
 
   comm::WeightNormTracker restored;
   restored.record(123.0);  // pre-existing state must be replaced
-  std::size_t offset = 0;
-  restored.load_state(blob, offset);
-  EXPECT_EQ(offset, blob.size());
+  auto reader = tensor::StateIo::reader(blob);
+  restored.persist(reader);
+  EXPECT_EQ(reader.offset(), blob.size());
   ASSERT_EQ(restored.history(), tracker.history());
   EXPECT_DOUBLE_EQ(restored.bound_or(0.0, 6.0, 4), tracker.bound_or(0.0, 6.0, 4));
 }
@@ -692,12 +693,13 @@ TEST(AttackInjector, ReplayCacheRoundTripsThroughSaveLoad) {
   EXPECT_TRUE(a.apply(0, 1, primer));
 
   std::vector<std::byte> blob;
-  a.save_state(blob);
+  auto writer = tensor::StateIo::writer(blob);
+  a.persist(writer);
   robust::AttackInjector b;
   b.set_plan(plan);
-  std::size_t offset = 0;
-  b.load_state(blob, offset);
-  EXPECT_EQ(offset, blob.size());
+  auto reader = tensor::StateIo::reader(blob);
+  b.persist(reader);
+  EXPECT_EQ(reader.offset(), blob.size());
 
   // Both injectors must now replay the identical cached bundle.
   std::vector<robust::Payload> fresh_a = weights_bundle(vec({99.0f, 99.0f}));

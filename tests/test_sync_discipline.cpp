@@ -156,11 +156,10 @@ class WeightsImage final : public fl::Algorithm {
   std::string name() const override { return inner_.name(); }
   void run_round(fl::Federation&, std::size_t) override {}
   bool supports_resume() const override { return true; }
-  void save_state(std::vector<std::byte>& out) override {
+  void persist(tensor::StateIo& io) override {
     const auto append = [&](nn::Classifier& model) {
-      const std::vector<std::byte> bytes =
-          tensor::encode_tensor(model.flat_weights());
-      out.insert(out.end(), bytes.begin(), bytes.end());
+      tensor::Tensor weights = model.flat_weights();
+      io.tensor(weights);
     };
     for (std::size_t id = 0; id < fed_.num_clients(); ++id) {
       append(fed_.client(id).model);
