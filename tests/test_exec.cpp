@@ -352,9 +352,10 @@ TEST(SerialParallelEquivalence, MatmulIsBitwiseIdenticalAcrossThreads) {
 
 TEST(SerialParallelEquivalence,
      OddShapeAndFusedMatmulsAreBitwiseIdenticalAcrossThreads) {
-  // Shapes that are not multiples of the 4x16 (or 4x4) register tiles, plus
-  // the fused bias/accumulate forms, across thread counts. Large enough that
-  // the flop-threshold gate actually fans the work out.
+  // Shapes that are not multiples of the 6x8 / 6x16 register tiles or the
+  // 16-wide packed B strips, plus the fused bias/accumulate forms, across
+  // thread counts. Large enough that the flop-threshold gate actually fans
+  // the work out.
   struct Case {
     std::size_t m, k, n;
   };

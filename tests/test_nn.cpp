@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "fedpkd/nn/activation.hpp"
@@ -454,6 +455,110 @@ TEST(Optimizer, AdamConvergesOnQuadratic) {
     adam.step();
   }
   EXPECT_NEAR(layer.weight().value[0], 3.0f, 0.05f);
+}
+
+/// Adam::step's scalar loop as it stood before the AVX pass, kept verbatim
+/// (only the member names differ) as the bitwise reference.
+class ReferenceAdam {
+ public:
+  ReferenceAdam(std::vector<Parameter*> params, Adam::Options opts)
+      : params_(std::move(params)), opts_(opts) {
+    for (const Parameter* p : params_) {
+      m_.emplace_back(p->value.shape());
+      v_.emplace_back(p->value.shape());
+    }
+  }
+
+  void step() {
+    ++t_;
+    const float bc1 = 1.0f - std::pow(opts_.beta1, static_cast<float>(t_));
+    const float bc2 = 1.0f - std::pow(opts_.beta2, static_cast<float>(t_));
+    for (std::size_t i = 0; i < params_.size(); ++i) {
+      Parameter& p = *params_[i];
+      Tensor& m = m_[i];
+      Tensor& v = v_[i];
+      for (std::size_t k = 0; k < p.numel(); ++k) {
+        const float g = p.grad[k] + opts_.weight_decay * p.value[k];
+        m[k] = opts_.beta1 * m[k] + (1.0f - opts_.beta1) * g;
+        v[k] = opts_.beta2 * v[k] + (1.0f - opts_.beta2) * g * g;
+        const float mhat = m[k] / bc1;
+        const float vhat = v[k] / bc2;
+        p.value[k] -= opts_.lr * mhat / (std::sqrt(vhat) + opts_.eps);
+      }
+    }
+  }
+
+ private:
+  std::vector<Parameter*> params_;
+  Adam::Options opts_;
+  std::vector<Tensor> m_;
+  std::vector<Tensor> v_;
+  std::int64_t t_ = 0;
+};
+
+/// Runs Adam and ReferenceAdam side by side for five steps on two parameter
+/// sets with equal values, feeding both the same fresh gradients each step,
+/// and checks the weights stay bitwise equal.
+void expect_adam_matches_reference(const std::vector<Parameter*>& fast,
+                                   const std::vector<Parameter*>& reference,
+                                   Adam::Options opts, std::uint64_t seed) {
+  ASSERT_EQ(fast.size(), reference.size());
+  Adam adam(fast, opts);
+  ReferenceAdam ref(reference, opts);
+  Rng rng(seed);
+  for (int step = 0; step < 5; ++step) {
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+      for (std::size_t k = 0; k < fast[i]->numel(); ++k) {
+        const float g = static_cast<float>(rng.normal());
+        fast[i]->grad[k] = g;
+        reference[i]->grad[k] = g;
+      }
+    }
+    adam.step();
+    ref.step();
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+      ASSERT_EQ(std::memcmp(fast[i]->value.data(), reference[i]->value.data(),
+                            fast[i]->numel() * sizeof(float)),
+                0)
+          << "step " << step << " parameter " << i << " ("
+          << fast[i]->numel() << " weights)";
+    }
+  }
+}
+
+TEST(Optimizer, AdamMatchesScalarReferenceBitwiseOnRaggedSizes) {
+  // 1, 7 and 9 weights and 8k+3: the vector body, the scalar tail, and both.
+  for (float weight_decay : {0.0f, 0.01f}) {
+    Rng rng(27);
+    std::vector<Parameter> fast, reference;
+    for (std::size_t numel : {1u, 7u, 8u, 9u, 8u * 12u + 3u, 16u}) {
+      const Tensor init = Tensor::randn({numel}, rng);
+      fast.emplace_back("p", init);
+      reference.emplace_back("p", init);
+    }
+    std::vector<Parameter*> fast_ptrs, reference_ptrs;
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+      fast_ptrs.push_back(&fast[i]);
+      reference_ptrs.push_back(&reference[i]);
+    }
+    expect_adam_matches_reference(
+        fast_ptrs, reference_ptrs,
+        {.lr = 0.003f, .beta1 = 0.8f, .beta2 = 0.99f, .eps = 1e-6f,
+         .weight_decay = weight_decay},
+        31);
+  }
+}
+
+TEST(Optimizer, AdamMatchesScalarReferenceBitwiseOnResmlp56) {
+  // The server model's full parameter set, at the default options and with
+  // weight decay.
+  for (float weight_decay : {0.0f, 5e-4f}) {
+    Rng fast_rng(29), reference_rng(29);
+    Classifier fast = make_classifier("resmlp56", 48, 10, fast_rng);
+    Classifier reference = make_classifier("resmlp56", 48, 10, reference_rng);
+    expect_adam_matches_reference(fast.parameters(), reference.parameters(),
+                                  {.weight_decay = weight_decay}, 37);
+  }
 }
 
 TEST(Optimizer, ValidatesOptions) {
