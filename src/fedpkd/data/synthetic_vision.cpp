@@ -29,18 +29,9 @@ SyntheticVisionConfig SyntheticVisionConfig::synth100(std::uint64_t seed) {
   return c;
 }
 
-SyntheticVisionConfig SyntheticVisionConfig::synth10_images(
-    std::uint64_t seed) {
-  SyntheticVisionConfig c = synth10(seed);
-  c.image_mode = true;
-  c.image_size = 8;
-  c.image_channels = 3;
-  return c;
-}
-
 SyntheticVision::SyntheticVision(SyntheticVisionConfig config)
     : config_(config) {
-  if (config_.num_classes == 0 || config_.sample_dim() == 0 ||
+  if (config_.num_classes == 0 || config_.input_dim == 0 ||
       config_.latent_dim == 0 || config_.modes_per_class == 0) {
     throw std::invalid_argument("SyntheticVision: zero-sized config field");
   }
@@ -48,65 +39,19 @@ SyntheticVision::SyntheticVision(SyntheticVisionConfig config)
   const std::size_t total_modes = config_.num_classes * config_.modes_per_class;
   mode_centers_ = Tensor::randn({total_modes, config_.latent_dim},
                                 geometry_rng, 0.0f, config_.separation);
-  const std::size_t out_dim = config_.sample_dim();
-  const std::size_t hidden = config_.image_mode ? 2 * config_.latent_dim
-                                                : 2 * config_.input_dim;
+  const std::size_t hidden = 2 * config_.input_dim;
   const float s1 = std::sqrt(1.0f / static_cast<float>(config_.latent_dim));
   const float s2 = std::sqrt(1.0f / static_cast<float>(hidden));
   w1_ = Tensor::randn({config_.latent_dim, hidden}, geometry_rng, 0.0f, s1);
   b1_ = Tensor::randn({hidden}, geometry_rng, 0.0f, 0.1f);
-  w2_ = Tensor::randn({hidden, out_dim}, geometry_rng, 0.0f, s2);
-  b2_ = Tensor::randn({out_dim}, geometry_rng, 0.0f, 0.1f);
+  w2_ = Tensor::randn({hidden, config_.input_dim}, geometry_rng, 0.0f, s2);
+  b2_ = Tensor::randn({config_.input_dim}, geometry_rng, 0.0f, 0.1f);
 }
-
-namespace {
-
-/// Fixed 3x3 binomial blur per channel (zero padding); gives the image-mode
-/// samples the local spatial correlation convolutions rely on.
-void blur_images(Tensor& x, std::size_t channels, std::size_t size) {
-  static constexpr float kKernel[3][3] = {
-      {1.f / 16, 2.f / 16, 1.f / 16},
-      {2.f / 16, 4.f / 16, 2.f / 16},
-      {1.f / 16, 2.f / 16, 1.f / 16}};
-  const std::size_t plane = size * size;
-  std::vector<float> scratch(plane);
-  for (std::size_t row = 0; row < x.rows(); ++row) {
-    for (std::size_t c = 0; c < channels; ++c) {
-      float* p = x.data() + row * channels * plane + c * plane;
-      for (std::size_t y = 0; y < size; ++y) {
-        for (std::size_t xx = 0; xx < size; ++xx) {
-          float acc = 0.0f;
-          for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-              const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(y) + dy;
-              const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(xx) + dx;
-              if (iy < 0 || ix < 0 ||
-                  iy >= static_cast<std::ptrdiff_t>(size) ||
-                  ix >= static_cast<std::ptrdiff_t>(size)) {
-                continue;
-              }
-              acc += kKernel[dy + 1][dx + 1] *
-                     p[static_cast<std::size_t>(iy) * size +
-                       static_cast<std::size_t>(ix)];
-            }
-          }
-          scratch[y * size + xx] = acc;
-        }
-      }
-      std::copy(scratch.begin(), scratch.end(), p);
-    }
-  }
-}
-
-}  // namespace
 
 Tensor SyntheticVision::warp(const Tensor& latent, Rng& rng) const {
   Tensor h = tensor::add_row_vector(tensor::matmul(latent, w1_), b1_);
   for (std::size_t i = 0; i < h.numel(); ++i) h[i] = std::tanh(h[i]);
   Tensor x = tensor::add_row_vector(tensor::matmul(h, w2_), b2_);
-  if (config_.image_mode) {
-    blur_images(x, config_.image_channels, config_.image_size);
-  }
   for (std::size_t i = 0; i < x.numel(); ++i) {
     x[i] += static_cast<float>(rng.normal(0.0, config_.obs_noise));
   }

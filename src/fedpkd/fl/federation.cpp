@@ -316,7 +316,7 @@ std::unique_ptr<Federation> build_virtual_federation(
   fed->rng = tensor::Rng(config.seed);
   fed->robust = config.robust;
   fed->num_classes = config.task.num_classes;
-  fed->input_dim = config.task.sample_dim();
+  fed->input_dim = config.task.input_dim;
   fed->cohort_size = config.cohort_size;
   fed->edge_aggregators = config.edge_aggregators;
   fed->client_archs = config.client_archs;

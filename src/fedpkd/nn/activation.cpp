@@ -1,6 +1,5 @@
 #include "fedpkd/nn/activation.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace fedpkd::nn {
@@ -37,36 +36,6 @@ Tensor Relu::backward(const Tensor& grad_out) {
 
 std::unique_ptr<Module> Relu::clone() const {
   return std::make_unique<Relu>();
-}
-
-Tensor Tanh::forward(const Tensor& x, bool train) {
-  Tensor y(x.shape());
-  for (std::size_t i = 0; i < x.numel(); ++i) y[i] = std::tanh(x[i]);
-  if (train) cached_output_ = y;
-  return y;
-}
-
-void Tanh::forward_eval_into(const Tensor& x, Tensor& out) {
-  out.ensure_shape(x.shape());
-  for (std::size_t i = 0; i < x.numel(); ++i) out[i] = std::tanh(x[i]);
-}
-
-Tensor Tanh::backward(const Tensor& grad_out) {
-  if (cached_output_.empty()) {
-    throw std::logic_error("Tanh::backward called before forward(train)");
-  }
-  if (!grad_out.same_shape(cached_output_)) {
-    throw std::invalid_argument("Tanh::backward: grad shape mismatch");
-  }
-  Tensor g(grad_out.shape());
-  for (std::size_t i = 0; i < grad_out.numel(); ++i) {
-    g[i] = grad_out[i] * (1.0f - cached_output_[i] * cached_output_[i]);
-  }
-  return g;
-}
-
-std::unique_ptr<Module> Tanh::clone() const {
-  return std::make_unique<Tanh>();
 }
 
 }  // namespace fedpkd::nn

@@ -18,18 +18,4 @@ class Relu final : public Module {
   Tensor cached_input_;
 };
 
-/// Elementwise hyperbolic tangent: y = tanh(x).
-class Tanh final : public Module {
- public:
-  Tanh() = default;
-
-  Tensor forward(const Tensor& x, bool train = true) override;
-  void forward_eval_into(const Tensor& x, Tensor& out) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::unique_ptr<Module> clone() const override;
-
- private:
-  Tensor cached_output_;
-};
-
 }  // namespace fedpkd::nn

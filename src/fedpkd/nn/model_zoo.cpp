@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "fedpkd/nn/activation.hpp"
-#include "fedpkd/nn/conv.hpp"
 #include "fedpkd/nn/layer_norm.hpp"
 #include "fedpkd/nn/residual.hpp"
 #include "fedpkd/nn/sequential.hpp"
@@ -52,63 +51,6 @@ Classifier make_resmlp(const std::string& name, std::size_t input_dim,
   auto head =
       std::make_unique<Linear>(kFeatureDim, num_classes, rng, name + ".head");
   return Classifier(name, std::move(body), std::move(head), input_dim);
-}
-
-CnnSpec cnn_spec(const std::string& name) {
-  if (name == "rescnn8") return {name, 8, 2};
-  if (name == "rescnn14") return {name, 12, 4};
-  throw std::invalid_argument("cnn_spec: unknown architecture '" + name +
-                              "' (expected rescnn8/14)");
-}
-
-namespace {
-
-std::unique_ptr<Module> conv_block(const ImageShape& shape,
-                                   const std::string& name, tensor::Rng& rng) {
-  auto inner = std::make_unique<Sequential>();
-  inner->add(std::make_unique<Conv2d>(shape, shape.channels, 3, 1, 1, rng,
-                                      name + ".conv1"));
-  inner->add(std::make_unique<Relu>());
-  inner->add(std::make_unique<Conv2d>(shape, shape.channels, 3, 1, 1, rng,
-                                      name + ".conv2"));
-  return std::make_unique<Residual>(std::move(inner));
-}
-
-}  // namespace
-
-Classifier make_rescnn(const std::string& name, std::size_t image_channels,
-                       std::size_t image_size, std::size_t num_classes,
-                       tensor::Rng& rng) {
-  const CnnSpec spec = cnn_spec(name);
-  if (image_channels == 0 || image_size == 0 || image_size % 2 != 0) {
-    throw std::invalid_argument(
-        "make_rescnn: image_size must be even and non-zero");
-  }
-  const ImageShape input{image_channels, image_size, image_size};
-  auto body = std::make_unique<Sequential>();
-  const ImageShape full{spec.base_channels, image_size, image_size};
-  body->add(std::make_unique<Conv2d>(input, spec.base_channels, 3, 1, 1, rng,
-                                     name + ".stem"));
-  body->add(std::make_unique<Relu>());
-  const std::size_t before_pool = spec.blocks / 2;
-  for (std::size_t b = 0; b < before_pool; ++b) {
-    body->add(conv_block(full, name + ".pre" + std::to_string(b), rng));
-  }
-  auto pool = std::make_unique<AvgPool2x2>(full);
-  const ImageShape half = pool->output_shape();
-  body->add(std::move(pool));
-  for (std::size_t b = before_pool; b < spec.blocks; ++b) {
-    body->add(conv_block(half, name + ".post" + std::to_string(b), rng));
-  }
-  body->add(std::make_unique<GlobalAvgPool>(half));
-  // Shared feature projection, identical to the MLP family.
-  body->add(std::make_unique<Linear>(spec.base_channels, kFeatureDim, rng,
-                                     name + ".proj"));
-  body->add(std::make_unique<LayerNorm>(kFeatureDim, 1e-5f,
-                                        name + ".feat_norm"));
-  auto head =
-      std::make_unique<Linear>(kFeatureDim, num_classes, rng, name + ".head");
-  return Classifier(name, std::move(body), std::move(head), input.numel());
 }
 
 Classifier make_classifier(const std::string& arch, std::size_t input_dim,

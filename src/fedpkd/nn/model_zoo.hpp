@@ -46,24 +46,4 @@ Classifier make_resmlp(const std::string& name, std::size_t input_dim,
                        std::size_t num_classes, std::size_t blocks,
                        std::size_t hidden, tensor::Rng& rng);
 
-/// Builds a small residual CNN for image-mode inputs (rows are flattened
-/// C,H,W images): conv stem, `blocks` residual conv blocks split around a
-/// 2x2 average pool, global average pooling, then the same shared-feature
-/// projection as the MLP family (so CNN and MLP clients can co-exist in one
-/// federation and still aggregate prototypes). Much slower than ResMLPs on
-/// one core — intended for the image-mode tests/examples, not the full
-/// experiment sweeps.
-struct CnnSpec {
-  std::string name;
-  std::size_t base_channels;
-  std::size_t blocks;  // total residual blocks (split across the pool)
-};
-
-/// Known CNN names: "rescnn8", "rescnn14". Throws on unknown name.
-CnnSpec cnn_spec(const std::string& name);
-
-Classifier make_rescnn(const std::string& name, std::size_t image_channels,
-                       std::size_t image_size, std::size_t num_classes,
-                       tensor::Rng& rng);
-
 }  // namespace fedpkd::nn

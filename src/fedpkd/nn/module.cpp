@@ -6,12 +6,6 @@ namespace fedpkd::nn {
 
 void Module::collect_parameters(std::vector<Parameter*>&) {}
 
-void Module::forward_eval_into(const Tensor& x, Tensor& out) {
-  // Fallback for layers without a buffer-reusing override: the move-assign
-  // keeps it correct (and allocation-neutral versus calling forward directly).
-  out = forward(x, /*train=*/false);
-}
-
 std::vector<Parameter*> Module::parameters() {
   std::vector<Parameter*> out;
   collect_parameters(out);

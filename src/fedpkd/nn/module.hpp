@@ -53,11 +53,12 @@ class Module {
   /// Inference pass that writes into a caller-provided tensor instead of
   /// returning a fresh one, so steady-state evaluation (public-set logits
   /// every round) reuses the same buffers and allocates nothing after
-  /// warm-up. Bitwise equal to `out = forward(x, /*train=*/false)` — layers
-  /// override it with the exact eval-mode arithmetic, never a reordered
-  /// variant. `out` must not alias `x`. Does not disturb cached backward
-  /// state.
-  virtual void forward_eval_into(const Tensor& x, Tensor& out);
+  /// warm-up. Every layer must implement it with the exact eval-mode
+  /// arithmetic of forward(), never a reordered variant: the result is
+  /// bitwise equal to `out = forward(x, /*train=*/false)` whatever shape and
+  /// contents `out` had. `out` must not alias `x`. Does not disturb cached
+  /// backward state.
+  virtual void forward_eval_into(const Tensor& x, Tensor& out) = 0;
 
   /// Appends non-owning pointers to this module's parameters.
   virtual void collect_parameters(std::vector<Parameter*>& out);

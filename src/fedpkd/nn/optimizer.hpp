@@ -6,56 +6,13 @@
 
 namespace fedpkd::nn {
 
-/// Base class for first-order optimizers.
-///
-/// Optimizers hold non-owning pointers to model parameters and must not
-/// outlive the model. step() consumes the gradients accumulated by
-/// Module::backward; zero_grad() clears them for the next mini-batch.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Parameter*> params);
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the current gradients.
-  virtual void step() = 0;
-
-  /// Changes the learning rate used by subsequent steps (LrSchedule
-  /// integration point). Throws std::invalid_argument on lr <= 0.
-  virtual void set_lr(float lr) = 0;
-
-  /// Zeroes all parameter gradients.
-  void zero_grad();
-
-  const std::vector<Parameter*>& params() const { return params_; }
-
- protected:
-  std::vector<Parameter*> params_;
-};
-
-/// Mini-batch SGD with optional Nesterov-free momentum and decoupled L2
-/// weight decay:  v = momentum*v + g + wd*w;  w -= lr*v.
-class Sgd final : public Optimizer {
- public:
-  struct Options {
-    float lr = 0.01f;
-    float momentum = 0.0f;
-    float weight_decay = 0.0f;
-  };
-
-  Sgd(std::vector<Parameter*> params, Options opts);
-  void step() override;
-  void set_lr(float lr) override;
-
- private:
-  Options opts_;
-  std::vector<Tensor> velocity_;
-};
-
 /// Adam (Kingma & Ba 2015) with bias correction; the optimizer the paper's
 /// evaluation uses for all client and server training (lr = 1e-3).
-class Adam final : public Optimizer {
+///
+/// Holds non-owning pointers to model parameters and must not outlive the
+/// model. step() consumes the gradients accumulated by Module::backward;
+/// zero_grad() clears them for the next mini-batch.
+class Adam {
  public:
   struct Options {
     float lr = 0.001f;
@@ -67,35 +24,21 @@ class Adam final : public Optimizer {
 
   explicit Adam(std::vector<Parameter*> params);
   Adam(std::vector<Parameter*> params, Options opts);
-  void step() override;
-  void set_lr(float lr) override;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
+
+  /// Applies one update using the current gradients.
+  void step();
+
+  /// Zeroes all parameter gradients.
+  void zero_grad();
 
  private:
+  std::vector<Parameter*> params_;
   Options opts_;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
   std::int64_t t_ = 0;
-};
-
-/// RMSProp (Tieleman & Hinton): per-parameter adaptive rate without Adam's
-/// first-moment tracking; useful on noisy distillation objectives.
-///   v = rho*v + (1-rho)*g^2;  w -= lr * g / (sqrt(v) + eps).
-class RmsProp final : public Optimizer {
- public:
-  struct Options {
-    float lr = 0.001f;
-    float rho = 0.9f;
-    float eps = 1e-8f;
-    float weight_decay = 0.0f;
-  };
-
-  RmsProp(std::vector<Parameter*> params, Options opts);
-  void step() override;
-  void set_lr(float lr) override;
-
- private:
-  Options opts_;
-  std::vector<Tensor> v_;
 };
 
 /// Adds the FedProx proximal gradient mu * (w - w_ref) to each parameter's

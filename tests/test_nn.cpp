@@ -9,8 +9,6 @@
 
 #include "fedpkd/nn/activation.hpp"
 #include "fedpkd/nn/classifier.hpp"
-#include "fedpkd/nn/dropout.hpp"
-#include "fedpkd/nn/scheduler.hpp"
 #include "fedpkd/nn/layer_norm.hpp"
 #include "fedpkd/nn/linear.hpp"
 #include "fedpkd/nn/loss.hpp"
@@ -98,12 +96,6 @@ TEST(Gradients, Relu) {
   check_gradients(layer, x, 101);
 }
 
-TEST(Gradients, Tanh) {
-  Rng rng(3);
-  Tanh layer;
-  check_gradients(layer, Tensor::randn({3, 5}, rng), 102);
-}
-
 TEST(Gradients, LayerNorm) {
   Rng rng(4);
   LayerNorm layer(6);
@@ -125,7 +117,6 @@ TEST(Gradients, ResidualBlock) {
   auto inner = std::make_unique<Sequential>();
   inner->add(std::make_unique<LayerNorm>(5));
   inner->add(std::make_unique<Linear>(5, 5, rng));
-  inner->add(std::make_unique<Tanh>());
   Residual block(std::move(inner));
   check_gradients(block, Tensor::randn({4, 5}, rng), 105);
 }
@@ -278,6 +269,102 @@ TEST(Module, FlattenUnflattenRoundTrip) {
                std::invalid_argument);
 }
 
+// ---------------------------------------------------- forward_eval_into ---
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// Checks Module::forward_eval_into's contract on `module` with [rows, width]
+/// inputs:
+///   (a) written into a reused, pre-dirtied `out` of the wrong shape, it gives
+///       the bits forward(x, /*train=*/false) returns;
+///   (b) called between forward(x, true) and backward(g) on an input of a
+///       different batch size, it leaves the input gradient and every
+///       parameter gradient bit for bit as they are without it.
+void expect_eval_into_contract(Module& module, std::size_t width,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  // Random parameters, so LayerNorm's gamma/beta are not the identity.
+  for (Parameter* p : module.parameters()) {
+    p->value = Tensor::randn(p->value.shape(), rng);
+  }
+  const Tensor x = Tensor::randn({5, width}, rng);
+  const Tensor other = Tensor::randn({3, width}, rng);
+
+  Tensor out = Tensor::full({7, width + 2}, std::nanf(""));
+  for (const Tensor* in : {&x, &other, &x}) {
+    module.forward_eval_into(*in, out);
+    EXPECT_TRUE(bitwise_equal(out, module.forward(*in, /*train=*/false)))
+        << "input " << in->shape_string();
+  }
+
+  std::unique_ptr<Module> twin = module.clone();
+  module.zero_grad();
+  const Tensor y = module.forward(x, /*train=*/true);
+  const Tensor g = Tensor::randn(y.shape(), rng);
+  const Tensor dx = module.backward(g);
+
+  twin->forward(x, /*train=*/true);
+  Tensor eval_out;
+  twin->forward_eval_into(other, eval_out);
+  EXPECT_TRUE(bitwise_equal(twin->backward(g), dx));
+  const std::vector<Parameter*> params = module.parameters();
+  const std::vector<Parameter*> twin_params = twin->parameters();
+  ASSERT_EQ(params.size(), twin_params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(twin_params[i]->grad, params[i]->grad))
+        << params[i]->name;
+  }
+}
+
+TEST(ForwardEvalInto, Relu) {
+  Relu layer;
+  expect_eval_into_contract(layer, 6, 110);
+}
+
+TEST(ForwardEvalInto, Linear) {
+  Rng rng(111);
+  Linear layer(6, 4, rng);
+  expect_eval_into_contract(layer, 6, 112);
+}
+
+TEST(ForwardEvalInto, LayerNorm) {
+  LayerNorm layer(6);
+  expect_eval_into_contract(layer, 6, 113);
+}
+
+TEST(ForwardEvalInto, Residual) {
+  Rng rng(114);
+  auto inner = std::make_unique<Sequential>();
+  inner->add(std::make_unique<LayerNorm>(6));
+  inner->add(std::make_unique<Linear>(6, 6, rng));
+  inner->add(std::make_unique<Relu>());
+  inner->add(std::make_unique<Linear>(6, 6, rng));
+  Residual block(std::move(inner));
+  expect_eval_into_contract(block, 6, 115);
+}
+
+TEST(ForwardEvalInto, Sequential) {
+  Rng rng(116);
+  Sequential seq;
+  seq.add(std::make_unique<Linear>(6, 8, rng));
+  seq.add(std::make_unique<Relu>());
+  seq.add(std::make_unique<LayerNorm>(8));
+  seq.add(std::make_unique<Linear>(8, 3, rng));
+  expect_eval_into_contract(seq, 6, 117);
+}
+
+TEST(ForwardEvalInto, EveryArchBody) {
+  for (const std::string& arch : known_archs()) {
+    SCOPED_TRACE(arch);
+    Rng rng(118);
+    Classifier model = make_classifier(arch, 16, 10, rng);
+    expect_eval_into_contract(model.body(), 16, 119);
+  }
+}
+
 // -------------------------------------------------------------- Losses ---
 
 TEST(Loss, CrossEntropyPerfectPredictionNearZero) {
@@ -393,43 +480,6 @@ TEST(Loss, PerClassAccuracy) {
 }
 
 // ----------------------------------------------------------- Optimizers ---
-
-TEST(Optimizer, SgdSingleStep) {
-  Rng rng(21);
-  Linear layer(1, 1, rng);
-  layer.weight().value[0] = 1.0f;
-  layer.weight().grad[0] = 0.5f;
-  layer.bias().grad[0] = 0.0f;
-  Sgd sgd(layer.parameters(), {.lr = 0.1f, .momentum = 0.0f,
-                               .weight_decay = 0.0f});
-  sgd.step();
-  EXPECT_NEAR(layer.weight().value[0], 0.95f, 1e-6f);
-}
-
-TEST(Optimizer, SgdMomentumAccumulates) {
-  Rng rng(22);
-  Linear layer(1, 1, rng);
-  layer.weight().value[0] = 0.0f;
-  Sgd sgd(layer.parameters(), {.lr = 1.0f, .momentum = 0.5f,
-                               .weight_decay = 0.0f});
-  layer.weight().grad[0] = 1.0f;
-  sgd.step();  // v = 1, w = -1
-  sgd.step();  // v = 1.5, w = -2.5
-  EXPECT_NEAR(layer.weight().value[0], -2.5f, 1e-6f);
-}
-
-TEST(Optimizer, SgdWeightDecayShrinks) {
-  Rng rng(23);
-  Linear layer(1, 1, rng);
-  layer.weight().value[0] = 10.0f;
-  layer.weight().grad[0] = 0.0f;
-  layer.bias().grad[0] = 0.0f;
-  layer.bias().value[0] = 0.0f;
-  Sgd sgd(layer.parameters(), {.lr = 0.1f, .momentum = 0.0f,
-                               .weight_decay = 0.1f});
-  sgd.step();
-  EXPECT_LT(layer.weight().value[0], 10.0f);
-}
 
 TEST(Optimizer, AdamFirstStepIsLrSized) {
   // With bias correction, |first Adam step| ~= lr regardless of grad scale.
@@ -564,7 +614,6 @@ TEST(Optimizer, AdamMatchesScalarReferenceBitwiseOnResmlp56) {
 TEST(Optimizer, ValidatesOptions) {
   Rng rng(26);
   Linear layer(1, 1, rng);
-  EXPECT_THROW(Sgd(layer.parameters(), {.lr = 0.0f}), std::invalid_argument);
   EXPECT_THROW(Adam(layer.parameters(), {.lr = -1.0f}), std::invalid_argument);
   EXPECT_THROW(Adam(layer.parameters(), {.lr = 0.1f, .beta1 = 1.0f}),
                std::invalid_argument);
@@ -592,165 +641,6 @@ TEST(Optimizer, ProximalGradientPullsTowardReference) {
   EXPECT_THROW(
       add_proximal_gradient(layer.parameters(), Tensor::zeros({5}), 0.1f),
       std::invalid_argument);
-}
-
-// -------------------------------------------------------------- Dropout ---
-
-TEST(Dropout, EvalModeIsIdentity) {
-  Dropout layer(0.5f, Rng(40));
-  Rng rng(41);
-  Tensor x = Tensor::randn({4, 6}, rng);
-  Tensor y = layer.forward(x, /*train=*/false);
-  EXPECT_EQ(tensor::max_abs_difference(x, y), 0.0f);
-  // And gradients pass through untouched.
-  Tensor g = Tensor::randn({4, 6}, rng);
-  EXPECT_EQ(tensor::max_abs_difference(layer.backward(g), g), 0.0f);
-}
-
-TEST(Dropout, TrainModeDropsAboutP) {
-  Dropout layer(0.3f, Rng(42));
-  Tensor x = Tensor::ones({100, 100});
-  Tensor y = layer.forward(x, /*train=*/true);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] == 0.0f) ++zeros;
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / y.numel(), 0.3, 0.02);
-  // Survivors are scaled so the expectation is preserved.
-  EXPECT_NEAR(tensor::mean(y), 1.0f, 0.05f);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  Dropout layer(0.5f, Rng(43));
-  Tensor x = Tensor::ones({10, 10});
-  Tensor y = layer.forward(x, /*train=*/true);
-  Tensor g = layer.backward(Tensor::ones({10, 10}));
-  // Gradient is zero exactly where the forward output was zero.
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    EXPECT_EQ(g[i] == 0.0f, y[i] == 0.0f) << i;
-  }
-}
-
-TEST(Dropout, ValidatesProbability) {
-  EXPECT_THROW(Dropout(-0.1f, Rng(44)), std::invalid_argument);
-  EXPECT_THROW(Dropout(1.0f, Rng(44)), std::invalid_argument);
-  EXPECT_NO_THROW(Dropout(0.0f, Rng(44)));
-}
-
-TEST(Dropout, CloneReproducesConfiguration) {
-  Dropout layer(0.25f, Rng(45));
-  auto copy = layer.clone();
-  auto* d = dynamic_cast<Dropout*>(copy.get());
-  ASSERT_NE(d, nullptr);
-  EXPECT_FLOAT_EQ(d->drop_probability(), 0.25f);
-}
-
-// ------------------------------------------------------------ Schedulers ---
-
-TEST(Scheduler, ConstantLr) {
-  ConstantLr schedule(0.01f);
-  EXPECT_FLOAT_EQ(schedule.lr(0), 0.01f);
-  EXPECT_FLOAT_EQ(schedule.lr(1000), 0.01f);
-  EXPECT_THROW(ConstantLr(0.0f), std::invalid_argument);
-}
-
-TEST(Scheduler, StepDecayHalvesEveryPeriod) {
-  StepDecayLr schedule(1.0f, 0.5f, 10);
-  EXPECT_FLOAT_EQ(schedule.lr(0), 1.0f);
-  EXPECT_FLOAT_EQ(schedule.lr(9), 1.0f);
-  EXPECT_FLOAT_EQ(schedule.lr(10), 0.5f);
-  EXPECT_FLOAT_EQ(schedule.lr(25), 0.25f);
-  EXPECT_THROW(StepDecayLr(1.0f, 0.0f, 10), std::invalid_argument);
-  EXPECT_THROW(StepDecayLr(1.0f, 0.5f, 0), std::invalid_argument);
-}
-
-TEST(Scheduler, CosineAnnealsMonotonicallyToFloor) {
-  CosineLr schedule(0.1f, 0.001f, 100);
-  EXPECT_FLOAT_EQ(schedule.lr(0), 0.1f);
-  float previous = schedule.lr(0);
-  for (std::size_t s = 1; s <= 100; ++s) {
-    const float current = schedule.lr(s);
-    EXPECT_LE(current, previous + 1e-7f) << "step " << s;
-    previous = current;
-  }
-  EXPECT_FLOAT_EQ(schedule.lr(100), 0.001f);
-  EXPECT_FLOAT_EQ(schedule.lr(5000), 0.001f);
-  EXPECT_THROW(CosineLr(0.1f, 0.2f, 10), std::invalid_argument);
-}
-
-TEST(Scheduler, WarmupRampsLinearly) {
-  ConstantLr base(0.1f);
-  WarmupLr schedule(10, base);
-  EXPECT_NEAR(schedule.lr(0), 0.01f, 1e-6f);
-  EXPECT_NEAR(schedule.lr(4), 0.05f, 1e-6f);
-  EXPECT_FLOAT_EQ(schedule.lr(10), 0.1f);
-  EXPECT_FLOAT_EQ(schedule.lr(50), 0.1f);
-}
-
-// --------------------------------------------------------------- RmsProp ---
-
-TEST(Optimizer, RmsPropConvergesOnQuadratic) {
-  Rng rng(46);
-  Linear layer(1, 1, rng);
-  layer.weight().value[0] = 0.0f;
-  RmsProp opt(layer.parameters(), {.lr = 0.05f});
-  for (int i = 0; i < 500; ++i) {
-    opt.zero_grad();
-    layer.weight().grad[0] = 2.0f * (layer.weight().value[0] - 3.0f);
-    opt.step();
-  }
-  EXPECT_NEAR(layer.weight().value[0], 3.0f, 0.1f);
-}
-
-TEST(Optimizer, RmsPropValidation) {
-  Rng rng(47);
-  Linear layer(1, 1, rng);
-  EXPECT_THROW(RmsProp(layer.parameters(), {.lr = 0.0f}),
-               std::invalid_argument);
-  EXPECT_THROW(RmsProp(layer.parameters(), {.lr = 0.1f, .rho = 1.0f}),
-               std::invalid_argument);
-}
-
-TEST(Optimizer, SetLrTakesEffect) {
-  Rng rng(48);
-  Linear layer(1, 1, rng);
-  layer.weight().value[0] = 0.0f;
-  layer.bias().value[0] = 0.0f;
-  Sgd opt(layer.parameters(), {.lr = 1.0f, .momentum = 0.0f,
-                               .weight_decay = 0.0f});
-  layer.weight().grad[0] = 1.0f;
-  opt.set_lr(0.5f);
-  opt.step();
-  EXPECT_FLOAT_EQ(layer.weight().value[0], -0.5f);
-  EXPECT_THROW(opt.set_lr(0.0f), std::invalid_argument);
-
-  Adam adam(layer.parameters());
-  EXPECT_NO_THROW(adam.set_lr(0.01f));
-  RmsProp rms(layer.parameters(), {.lr = 0.1f});
-  EXPECT_NO_THROW(rms.set_lr(0.01f));
-}
-
-TEST(Optimizer, ScheduledSgdFollowsCosine) {
-  Rng rng(49);
-  Linear layer(1, 1, rng);
-  layer.weight().value[0] = 0.0f;
-  layer.bias().value[0] = 0.0f;
-  Sgd opt(layer.parameters(), {.lr = 0.1f, .momentum = 0.0f,
-                               .weight_decay = 0.0f});
-  CosineLr schedule(0.1f, 1e-6f, 50);
-  double expected = 0.0;
-  for (std::size_t s = 0; s < 50; ++s) {
-    const float lr = schedule.lr(s);
-    expected += lr;
-    opt.set_lr(lr);
-    opt.zero_grad();
-    layer.weight().grad[0] = 1.0f;
-    opt.step();
-  }
-  // With unit gradients the weight moves by exactly the summed schedule.
-  EXPECT_NEAR(layer.weight().value[0], -expected, 1e-4);
-  // Cosine over [0, horizon) integrates to about base*horizon/2.
-  EXPECT_NEAR(expected, 2.5, 0.2);
 }
 
 // ----------------------------------------------------------- Classifier ---

@@ -18,7 +18,10 @@
 #include "fedpkd/fl/client.hpp"
 #include "fedpkd/fl/cohort.hpp"
 #include "fedpkd/fl/trainer.hpp"
+#include "fedpkd/nn/activation.hpp"
+#include "fedpkd/nn/layer_norm.hpp"
 #include "fedpkd/nn/model_zoo.hpp"
+#include "fedpkd/nn/sequential.hpp"
 #include "fedpkd/tensor/ops.hpp"
 #include "fedpkd/tensor/tensor.hpp"
 #include "fedpkd/tensor/workspace.hpp"
@@ -361,6 +364,45 @@ TEST(CohortAllocations, MultiTilePublicSetIsBitwiseIdentical) {
     EXPECT_EQ(tensor::max_abs_difference(logits[i], reference), 0.0f)
         << "multi-tile cohort logits diverge for client " << i << " ("
         << archs[i] << ")";
+  }
+}
+
+/// Stem fusion needs a Linear first layer in a Sequential body. A group of
+/// same-architecture clients whose body starts with anything else runs the
+/// per-member path instead, with the same bits.
+TEST(CohortAllocations, BodyWithoutLinearStemIsNotFused) {
+  exec::set_num_threads(1);
+  Rng data_rng(45);
+  data::SyntheticVision task(data::SyntheticVisionConfig::synth10(45));
+  const data::Dataset pub = task.sample(40, data_rng);
+  const data::Dataset split = task.sample(16, data_rng);
+
+  std::vector<fl::Client> clients;
+  clients.reserve(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    Rng model_rng(500 + i);
+    auto body = std::make_unique<nn::Sequential>();
+    body->add(std::make_unique<nn::LayerNorm>(pub.dim()));
+    body->add(std::make_unique<nn::Linear>(pub.dim(), 16, model_rng));
+    body->add(std::make_unique<nn::Relu>());
+    nn::Classifier model("normed", std::move(body),
+                         std::make_unique<nn::Linear>(16, 10, model_rng),
+                         pub.dim());
+    clients.emplace_back(static_cast<comm::NodeId>(i + 1),
+                         fl::ClientConfig{.arch = "normed"}, std::move(model),
+                         split, split, Rng(600 + i));
+  }
+  std::vector<fl::Client*> active;
+  for (fl::Client& c : clients) active.push_back(&c);
+
+  fl::CohortStepper stepper;
+  std::vector<Tensor> logits;
+  stepper.compute_public_logits(active, pub.features, logits);
+  EXPECT_EQ(stepper.fused_clients(), 0u);
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    Tensor reference = fl::compute_logits(clients[i].model, pub.features);
+    EXPECT_EQ(tensor::max_abs_difference(logits[i], reference), 0.0f)
+        << "unfused cohort logits diverge for client " << i;
   }
 }
 
