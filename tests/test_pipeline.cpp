@@ -10,10 +10,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "fedpkd/comm/frame.hpp"
 #include "fedpkd/core/fedpkd.hpp"
 #include "fedpkd/core/fedproto.hpp"
 #include "fedpkd/data/synthetic_vision.hpp"
@@ -228,6 +230,108 @@ TEST(GoldenEquivalence, SerialMatchesPreRefactorTraces) {
 TEST(GoldenEquivalence, FourThreadsMatchesPreRefactorTraces) {
   for (const GoldenTrace& golden : kGoldenTraces) {
     expect_matches_golden(golden, /*threads=*/4);
+  }
+}
+
+// ------------------------------------------------------- weight goldens -----
+
+/// CRC32 of a model's flat weights. The accuracy traces above see the weights
+/// only through 40 test predictions per client, so a drift that flips no
+/// prediction would pass them; these pin the weights themselves.
+std::uint32_t weights_crc(nn::Classifier& model) {
+  const Tensor flat = model.flat_weights();
+  return comm::crc32(
+      std::as_bytes(std::span<const float>(flat.data(), flat.numel())));
+}
+
+struct WeightRound {
+  std::array<std::uint32_t, 4> clients;
+  std::uint32_t server;  // 0 when the algorithm trains no server model
+};
+
+struct WeightGolden {
+  const char* name;
+  std::array<WeightRound, 2> rounds;
+};
+
+/// Recorded on the golden federation above, 2 rounds, serial; the same
+/// values must come out at 4 lanes.
+const WeightGolden kWeightGoldens[] = {
+    {"FedAvg",
+     {{{{0x2326ac7fu, 0x1be226e0u, 0x1f154a76u, 0xd0d4848bu},
+       0xf808d522u},
+      {{0x92566cb9u, 0x17fdf02du, 0x6b9fd8f6u, 0xfe79b65fu},
+       0xf445670fu}}}},
+    {"FedProx",
+     {{{{0xa9330483u, 0x6d20fde4u, 0xb0fc2800u, 0x66e15917u},
+       0xa4f6b2f8u},
+      {{0x59ce06e6u, 0xae7c3c63u, 0xf86e014cu, 0x9f087417u},
+       0x86d29fb8u}}}},
+    {"FedMD",
+     {{{{0xef8ad451u, 0x88452590u, 0x9833d886u, 0xf738afe0u},
+       0x00000000u},
+      {{0xb36771b4u, 0x96d1c636u, 0x69e1a4aau, 0xd650cdfcu},
+       0x00000000u}}}},
+    {"DS-FL",
+     {{{{0x0faedf0du, 0x3ff6c6dau, 0x18fbde8eu, 0x9d1376f0u},
+       0x00000000u},
+      {{0xa14d7769u, 0xecc34d3eu, 0xf22eb887u, 0x55a4ef88u},
+       0x00000000u}}}},
+    {"FedDF",
+     {{{{0x2326ac7fu, 0x1be226e0u, 0x1f154a76u, 0xd0d4848bu},
+       0x55118132u},
+      {{0x14540adeu, 0x355878bdu, 0xc9d7f77du, 0x64b39590u},
+       0x8121b2d1u}}}},
+    {"FedET",
+     {{{{0x7d31a69du, 0x19dd8792u, 0xbf50d17du, 0xf5ed33cdu},
+       0x9f404848u},
+      {{0x29439762u, 0x23571094u, 0x3e26758bu, 0x47b3439au},
+       0x85851e5du}}}},
+    {"FedProto",
+     {{{{0x2326ac7fu, 0x3e40ebb8u, 0xba313ed2u, 0x6273e66cu},
+       0x00000000u},
+      {{0xd6fa7778u, 0xdf6cd7a7u, 0x9f1f5b6au, 0x48913f15u},
+       0x00000000u}}}},
+    {"FedPKD",
+     {{{{0xffd1572bu, 0x5b0623fdu, 0xd8e30684u, 0x8dcfecf2u},
+       0x2e39a425u},
+      {{0x8495339eu, 0xf184f1d0u, 0x6d878e3fu, 0x2c9fd80bu},
+       0x728fdb04u}}}},
+};
+
+void expect_weights_match_golden(const WeightGolden& golden,
+                                 std::size_t threads) {
+  auto fed = golden_federation(threads);
+  auto algo = make_algorithm(golden.name, *fed);
+  for (std::size_t t = 0; t < 2; ++t) {
+    fl::RunOptions options;
+    options.start_round = t;
+    options.rounds = t + 1;
+    fl::run_federation(*algo, *fed, options);
+    const WeightRound& want = golden.rounds[t];
+    for (std::size_t c = 0; c < want.clients.size(); ++c) {
+      const std::uint32_t got = weights_crc(fed->client(c).model);
+      EXPECT_EQ(got, want.clients[c])
+          << golden.name << " round " << t << " client " << c << ": 0x"
+          << std::hex << got;
+    }
+    nn::Classifier* server = algo->server_model();
+    const std::uint32_t got = server != nullptr ? weights_crc(*server) : 0u;
+    EXPECT_EQ(got, want.server)
+        << golden.name << " round " << t << " server: 0x" << std::hex << got;
+  }
+  exec::set_num_threads(1);
+}
+
+TEST(GoldenWeights, SerialMatchesRecordedCrcs) {
+  for (const WeightGolden& golden : kWeightGoldens) {
+    expect_weights_match_golden(golden, /*threads=*/1);
+  }
+}
+
+TEST(GoldenWeights, FourThreadsMatchesRecordedCrcs) {
+  for (const WeightGolden& golden : kWeightGoldens) {
+    expect_weights_match_golden(golden, /*threads=*/4);
   }
 }
 
