@@ -149,4 +149,32 @@ PayloadKind peek_kind(std::span<const std::byte> bytes) {
   throw DecodeError("peek_kind: unknown kind tag");
 }
 
+std::optional<std::vector<Payload>> decode_parts(
+    const std::vector<std::vector<std::byte>>& parts) {
+  std::vector<Payload> out;
+  out.reserve(parts.size());
+  try {
+    for (const std::vector<std::byte>& part : parts) {
+      switch (peek_kind(part)) {
+        case PayloadKind::kWeights:
+          out.emplace_back(decode_weights(part));
+          break;
+        case PayloadKind::kLogits:
+          out.emplace_back(decode_logits(part));
+          break;
+        case PayloadKind::kPrototypes:
+          out.emplace_back(decode_prototypes(part));
+          break;
+      }
+    }
+  } catch (const DecodeError&) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+std::vector<std::byte> encode_payload(const Payload& payload) {
+  return std::visit([](const auto& p) { return encode(p); }, payload);
+}
+
 }  // namespace fedpkd::comm

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <variant>
 #include <vector>
 
 #include "fedpkd/tensor/serialize.hpp"
@@ -77,5 +79,21 @@ inline PayloadKind kind_of(const LogitsPayload&) { return PayloadKind::kLogits; 
 inline PayloadKind kind_of(const PrototypesPayload&) {
   return PayloadKind::kPrototypes;
 }
+
+/// -- Typed parts -------------------------------------------------------------
+
+/// One typed payload part: what round stages hand the pipeline to send
+/// (fl::StagePayload) and what the robust layer decodes, mutates in place and
+/// scores.
+using Payload = std::variant<WeightsPayload, LogitsPayload, PrototypesPayload>;
+
+/// Decodes delivered wire parts back into typed payloads; nullopt when any
+/// part is undecodable (possible only when inbound validation is disabled —
+/// the anomaly scorer treats such senders as maximally suspicious).
+std::optional<std::vector<Payload>> decode_parts(
+    const std::vector<std::vector<std::byte>>& parts);
+
+/// Re-encodes a typed payload (dispatches encode over the variant).
+std::vector<std::byte> encode_payload(const Payload& payload);
 
 }  // namespace fedpkd::comm

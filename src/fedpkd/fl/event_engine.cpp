@@ -275,9 +275,9 @@ void apply_anomaly_filter(Federation& fed,
                           std::vector<Contribution>& contributions,
                           RoundOutcome& outcome, RoundFaultStats& faults) {
   if (!fed.robust.anomaly_filter || contributions.size() < 3) return;
-  std::vector<std::vector<robust::Payload>> decoded(contributions.size());
+  std::vector<std::vector<comm::Payload>> decoded(contributions.size());
   for (std::size_t c = 0; c < contributions.size(); ++c) {
-    if (auto parts = robust::decode_parts(contributions[c].bundle.parts)) {
+    if (auto parts = comm::decode_parts(contributions[c].bundle.parts)) {
       decoded[c] = std::move(*parts);
     }  // undecodable stays empty -> kMalformedScore
   }
@@ -564,9 +564,9 @@ RoundOutcome run_event_driven(RoundStages& stages, Federation& fed,
         bundles[i] = stages.make_upload(ctx, i, *ctx.active[i]);
       }
     });
-    // Adversarial injection, serial in slot order (robust::Payload is the
-    // same variant type as StagePayload, so the injector mutates the typed
-    // bundles in place before they are ever encoded for the wire).
+    // Adversarial injection, serial in slot order (StagePayload is
+    // comm::Payload, so the injector mutates the typed bundles in place
+    // before they are ever encoded for the wire).
     for (std::size_t i = 0; i < n; ++i) {
       if (fed.attacks.apply(round, ctx.active[i]->id, bundles[i].parts)) {
         ++faults.attacks_injected;

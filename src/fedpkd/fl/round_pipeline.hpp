@@ -1,7 +1,6 @@
 #pragma once
 
 #include <optional>
-#include <variant>
 #include <vector>
 
 #include "fedpkd/fl/federation.hpp"
@@ -47,8 +46,7 @@ namespace fedpkd::fl {
 
 /// One typed message; the pipeline visits the variant to route it through
 /// comm::Channel::send.
-using StagePayload = std::variant<comm::WeightsPayload, comm::LogitsPayload,
-                                  comm::PrototypesPayload>;
+using StagePayload = comm::Payload;
 
 /// What one endpoint transmits to one peer as a unit. Multi-part bundles
 /// (FedPKD's logits + prototypes) are all-or-nothing on the receive side: if

@@ -23,8 +23,8 @@ double median_of_doubles(std::vector<double> values) {
 /// reference: same part count, same kind per slot, same tensor shape for
 /// weights and logits parts. Prototype parts may legitimately differ per
 /// client (each holds only its local classes).
-bool conforms(const std::vector<Payload>& bundle,
-              const std::vector<Payload>& reference) {
+bool conforms(const std::vector<comm::Payload>& bundle,
+              const std::vector<comm::Payload>& reference) {
   if (bundle.size() != reference.size()) return false;
   for (std::size_t p = 0; p < bundle.size(); ++p) {
     if (bundle[p].index() != reference[p].index()) return false;
@@ -42,14 +42,14 @@ bool conforms(const std::vector<Payload>& bundle,
 }  // namespace
 
 std::vector<float> anomaly_scores(
-    std::span<const std::vector<Payload>> clients) {
+    std::span<const std::vector<comm::Payload>> clients) {
   const std::size_t n = clients.size();
   std::vector<float> scores(n, kMalformedScore);
   if (n == 0) return scores;
 
   // Reference structure: the first non-empty bundle.
-  const std::vector<Payload>* reference = nullptr;
-  for (const std::vector<Payload>& bundle : clients) {
+  const std::vector<comm::Payload>* reference = nullptr;
+  for (const std::vector<comm::Payload>& bundle : clients) {
     if (!bundle.empty()) {
       reference = &bundle;
       break;

@@ -5,7 +5,7 @@
 #include <span>
 #include <vector>
 
-#include "fedpkd/robust/payload.hpp"
+#include "fedpkd/comm/payload.hpp"
 
 namespace fedpkd::robust {
 
@@ -43,7 +43,7 @@ struct AnomalyOptions {
 /// kMalformedScore. Deterministic and thread-count invariant (the underlying
 /// kernels are).
 std::vector<float> anomaly_scores(
-    std::span<const std::vector<Payload>> clients);
+    std::span<const std::vector<comm::Payload>> clients);
 
 struct ExclusionDecision {
   /// Per-client verdict, same order as the scores.

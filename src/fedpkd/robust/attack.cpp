@@ -16,8 +16,8 @@ void scale_tensor(tensor::Tensor& t, float factor) {
   for (std::size_t i = 0; i < t.numel(); ++i) x[i] *= factor;
 }
 
-void scale_parts(std::vector<Payload>& parts, float factor) {
-  for (Payload& part : parts) {
+void scale_parts(std::vector<comm::Payload>& parts, float factor) {
+  for (comm::Payload& part : parts) {
     std::visit(
         [factor](auto& p) {
           using T = std::decay_t<decltype(p)>;
@@ -123,7 +123,7 @@ bool AttackInjector::flips_labels(std::size_t round,
 }
 
 bool AttackInjector::apply(std::size_t round, comm::NodeId node,
-                           std::vector<Payload>& parts) {
+                           std::vector<comm::Payload>& parts) {
   if (!active(round)) return false;
   auto it = by_node_.find(node);
   if (it == by_node_.end()) return false;
@@ -140,19 +140,19 @@ bool AttackInjector::apply(std::size_t round, comm::NodeId node,
     case AttackType::kFreeRider: {
       std::vector<std::vector<std::byte>> fresh;
       fresh.reserve(parts.size());
-      for (const Payload& part : parts) {
-        fresh.push_back(encode_payload(part));
+      for (const comm::Payload& part : parts) {
+        fresh.push_back(comm::encode_payload(part));
       }
       auto cached = replay_cache_.find(node);
       if (cached != replay_cache_.end()) {
-        auto replayed = decode_parts(cached->second);
+        auto replayed = comm::decode_parts(cached->second);
         if (replayed) parts = std::move(*replayed);
       }
       replay_cache_[node] = std::move(fresh);
       break;
     }
     case AttackType::kPrototypeShift:
-      for (Payload& part : parts) {
+      for (comm::Payload& part : parts) {
         if (auto* protos = std::get_if<comm::PrototypesPayload>(&part)) {
           for (comm::PrototypeEntry& entry : protos->entries) {
             shift_centroid(entry.centroid, plan_.seed, node, entry.class_id,

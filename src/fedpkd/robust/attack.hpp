@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "fedpkd/comm/meter.hpp"
-#include "fedpkd/robust/payload.hpp"
+#include "fedpkd/comm/payload.hpp"
 
 namespace fedpkd::robust {
 
@@ -89,7 +89,7 @@ class AttackInjector {
   /// free-rider round, so the caller's attacks_injected counter reflects
   /// adversarial presence, not payload deltas.
   bool apply(std::size_t round, comm::NodeId node,
-             std::vector<Payload>& parts);
+             std::vector<comm::Payload>& parts);
 
   /// The free-rider replay cache, through the state codec.
   void persist(tensor::StateIo& io);

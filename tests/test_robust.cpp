@@ -449,13 +449,13 @@ TEST(RobustPrototypes, NoneRuleIsTheSupportWeightedMean) {
 
 // -------------------------------------------------------- anomaly scoring ---
 
-std::vector<robust::Payload> weights_bundle(const Tensor& flat) {
+std::vector<comm::Payload> weights_bundle(const Tensor& flat) {
   return {comm::WeightsPayload{flat}};
 }
 
 TEST(Anomaly, BoostedClientScoresFarAboveTheHonestCohort) {
   Rng rng(17);
-  std::vector<std::vector<robust::Payload>> clients;
+  std::vector<std::vector<comm::Payload>> clients;
   for (std::size_t i = 0; i < 4; ++i) {
     clients.push_back(weights_bundle(random_vec(64, rng)));
   }
@@ -473,7 +473,7 @@ TEST(Anomaly, BoostedClientScoresFarAboveTheHonestCohort) {
 
 TEST(Anomaly, MalformedBundlesGetTheSentinelScore) {
   Rng rng(18);
-  std::vector<std::vector<robust::Payload>> clients;
+  std::vector<std::vector<comm::Payload>> clients;
   for (std::size_t i = 0; i < 3; ++i) {
     clients.push_back(weights_bundle(random_vec(8, rng)));
   }
@@ -619,7 +619,7 @@ TEST(AttackInjector, SignFlipAndBoostRewriteTensors) {
   robust::AttackInjector injector;
   injector.set_plan(plan);
 
-  std::vector<robust::Payload> parts = weights_bundle(vec({1.0f, -2.0f}));
+  std::vector<comm::Payload> parts = weights_bundle(vec({1.0f, -2.0f}));
   EXPECT_TRUE(injector.apply(0, 0, parts));
   const auto& flipped = std::get<comm::WeightsPayload>(parts[0]).flat;
   EXPECT_FLOAT_EQ(flipped[0], -1.0f);
@@ -657,7 +657,7 @@ TEST(AttackInjector, LabelFlipIsAnInvolutionAndLeavesPayloadsAlone) {
   injector.set_plan(plan);
   EXPECT_TRUE(injector.flips_labels(0, 0));
   EXPECT_FALSE(injector.flips_labels(0, 1));
-  std::vector<robust::Payload> parts = weights_bundle(vec({1.0f}));
+  std::vector<comm::Payload> parts = weights_bundle(vec({1.0f}));
   EXPECT_TRUE(injector.apply(0, 0, parts));  // counts as adversarial presence
   EXPECT_FLOAT_EQ(std::get<comm::WeightsPayload>(parts[0]).flat[0], 1.0f);
 }
@@ -669,17 +669,17 @@ TEST(AttackInjector, FreeRiderReplaysThePreviousRound) {
   injector.set_plan(plan);
 
   // Round 0 primes: the fresh upload passes through.
-  std::vector<robust::Payload> round0 = weights_bundle(vec({10.0f}));
+  std::vector<comm::Payload> round0 = weights_bundle(vec({10.0f}));
   EXPECT_TRUE(injector.apply(0, 2, round0));
   EXPECT_FLOAT_EQ(std::get<comm::WeightsPayload>(round0[0]).flat[0], 10.0f);
 
   // Round 1 replays round 0's bundle instead of the fresh one.
-  std::vector<robust::Payload> round1 = weights_bundle(vec({20.0f}));
+  std::vector<comm::Payload> round1 = weights_bundle(vec({20.0f}));
   EXPECT_TRUE(injector.apply(1, 2, round1));
   EXPECT_FLOAT_EQ(std::get<comm::WeightsPayload>(round1[0]).flat[0], 10.0f);
 
   // Round 2 replays the *fresh* round-1 upload (one-round staleness).
-  std::vector<robust::Payload> round2 = weights_bundle(vec({30.0f}));
+  std::vector<comm::Payload> round2 = weights_bundle(vec({30.0f}));
   EXPECT_TRUE(injector.apply(2, 2, round2));
   EXPECT_FLOAT_EQ(std::get<comm::WeightsPayload>(round2[0]).flat[0], 20.0f);
 }
@@ -689,7 +689,7 @@ TEST(AttackInjector, ReplayCacheRoundTripsThroughSaveLoad) {
   plan.adversaries = {{1, robust::AttackType::kFreeRider, 0.0}};
   robust::AttackInjector a;
   a.set_plan(plan);
-  std::vector<robust::Payload> primer = weights_bundle(vec({7.0f, -3.0f}));
+  std::vector<comm::Payload> primer = weights_bundle(vec({7.0f, -3.0f}));
   EXPECT_TRUE(a.apply(0, 1, primer));
 
   std::vector<std::byte> blob;
@@ -702,8 +702,8 @@ TEST(AttackInjector, ReplayCacheRoundTripsThroughSaveLoad) {
   EXPECT_EQ(reader.offset(), blob.size());
 
   // Both injectors must now replay the identical cached bundle.
-  std::vector<robust::Payload> fresh_a = weights_bundle(vec({99.0f, 99.0f}));
-  std::vector<robust::Payload> fresh_b = weights_bundle(vec({99.0f, 99.0f}));
+  std::vector<comm::Payload> fresh_a = weights_bundle(vec({99.0f, 99.0f}));
+  std::vector<comm::Payload> fresh_b = weights_bundle(vec({99.0f, 99.0f}));
   EXPECT_TRUE(a.apply(1, 1, fresh_a));
   EXPECT_TRUE(b.apply(1, 1, fresh_b));
   const auto& wa = std::get<comm::WeightsPayload>(fresh_a[0]).flat;
@@ -721,8 +721,8 @@ TEST(AttackInjector, PrototypeShiftIsDeterministicPerSeedNodeClass) {
   const auto shifted = [&](std::size_t round) {
     robust::AttackInjector injector;
     injector.set_plan(plan);
-    std::vector<robust::Payload> parts = {
-        robust::Payload(protos({{2, vec({1.0f, 2.0f, 3.0f})}}))};
+    std::vector<comm::Payload> parts = {
+        comm::Payload(protos({{2, vec({1.0f, 2.0f, 3.0f})}}))};
     EXPECT_TRUE(injector.apply(round, 0, parts));
     return std::get<comm::PrototypesPayload>(parts[0]).entries[0].centroid;
   };
