@@ -3,10 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fedpkd/data/loader.hpp"
 #include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/nn/loss.hpp"
-#include "fedpkd/nn/optimizer.hpp"
 #include "fedpkd/tensor/ops.hpp"
 
 namespace fedpkd::core {
@@ -17,6 +15,7 @@ fl::TrainStats server_ensemble_distill(Classifier& server_model,
                                        const std::vector<int>& pseudo_labels,
                                        const PrototypeSet& global_prototypes,
                                        const ServerDistillOptions& options,
+                                       const fl::TrainOptions& train,
                                        tensor::Rng& rng) {
   if (inputs.rank() != 2 || teacher_probs.rank() != 2 ||
       inputs.rows() != teacher_probs.rows() ||
@@ -31,15 +30,11 @@ fl::TrainStats server_ensemble_distill(Classifier& server_model,
     throw std::invalid_argument("server_ensemble_distill: empty distill set");
   }
   global_prototypes.validate();
-  const std::size_t feature_dim = server_model.feature_dim();
-  if (global_prototypes.feature_dim() != feature_dim) {
-    throw std::invalid_argument(
-        "server_ensemble_distill: prototype feature dim mismatch");
-  }
+  fl::check_prototype_targets(global_prototypes.matrix,
+                              &global_prototypes.present, teacher_probs.cols(),
+                              server_model.feature_dim());
 
-  data::Dataset wrapper(inputs, pseudo_labels, teacher_probs.cols());
-  nn::Adam optimizer(server_model.parameters(), {.lr = options.lr});
-  data::DataLoader loader(wrapper, options.batch_size, rng.split(0x73727664));
+  const data::Dataset wrapper(inputs, pseudo_labels, teacher_probs.cols());
 
   // Per-sample confidence weights for the extension (mean-1 normalized per
   // batch below; both KD losses have row-separable gradients, so scaling a
@@ -54,109 +49,62 @@ fl::TrainStats server_ensemble_distill(Classifier& server_model,
     }
   }
 
-  fl::TrainStats stats;
-  double loss_sum = 0.0;
-  // Batch, teacher-slice, and prototype-gradient buffers persist across steps
-  // so the hot loop reuses their capacity instead of reallocating.
-  data::Batch batch;
+  // Teacher-slice and prototype-gradient buffers persist across steps so the
+  // hot loop reuses their capacity instead of reallocating.
   Tensor teacher;
   Tensor grad_features;
-  for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    loader.reset();
-    while (loader.next(batch)) {
-      optimizer.zero_grad();
-      teacher_probs.gather_rows_into(batch.indices, teacher);
-      Tensor logits = server_model.forward(batch.x, /*train=*/true);
+  return fl::train_minibatch(
+      server_model, wrapper, train, rng, 0x73727664,
+      [&](const data::Batch& batch, const Tensor& logits) {
+        teacher_probs.gather_rows_into(batch.indices, teacher);
+        // L_kd (Eq. 11): KL(S || M_G) + CE(M_G, pseudo), both on this batch.
+        auto [kl, grad_kl] =
+            nn::kl_distillation(logits, teacher, options.temperature);
+        auto [ce, grad_ce] = nn::softmax_cross_entropy(logits, batch.y);
+        fl::BatchLoss out{options.delta * (kl + ce), std::move(grad_kl)};
+        Tensor& grad_logits = out.grad_logits;
+        tensor::add_inplace(grad_logits, grad_ce);
+        tensor::scale_inplace(grad_logits, options.delta);
 
-      // L_kd (Eq. 11): KL(S || M_G) + CE(M_G, pseudo), both on this batch.
-      auto [kl, grad_kl] =
-          nn::kl_distillation(logits, teacher, options.temperature);
-      auto [ce, grad_ce] = nn::softmax_cross_entropy(logits, batch.y);
-      float loss = options.delta * (kl + ce);
-      Tensor grad_logits = std::move(grad_kl);
-      tensor::add_inplace(grad_logits, grad_ce);
-      tensor::scale_inplace(grad_logits, options.delta);
-
-      if (options.confidence_weighted) {
-        double mean_w = 0.0;
-        for (std::size_t r = 0; r < batch.size(); ++r) {
-          mean_w += confidence[batch.indices[r]];
-        }
-        mean_w /= static_cast<double>(batch.size());
-        const std::size_t cols = grad_logits.cols();
-        // Row-parallel: every row's scale depends only on its own index. At
-        // ~cols ops per row a distill batch never clears the grain, so this
-        // stays inline — kept as parallel_for for when batches grow.
-        exec::parallel_for(
-            batch.size(), exec::grain_for_cost(cols),
-            [&](std::size_t row_begin, std::size_t row_end) {
-              for (std::size_t r = row_begin; r < row_end; ++r) {
-                const float w = static_cast<float>(
-                    confidence[batch.indices[r]] / mean_w);
-                float* g = grad_logits.data() + r * cols;
-                for (std::size_t c = 0; c < cols; ++c) g[c] *= w;
-              }
-            });
-      }
-
-      // L_p (Eq. 12): pull each sample's feature vector toward the global
-      // prototype of its pseudo-label.
-      if (options.use_prototype_loss && options.delta < 1.0f) {
-        const Tensor& features = server_model.last_features();
-        grad_features.ensure_shape(features.shape());
-        grad_features.zero();  // rows whose prototype class is absent stay 0
-        const std::size_t b = features.rows();
-        // Rows are independent: each lane writes its own gradient rows and a
-        // per-row MSE partial; the partials reduce serially in row order so
-        // the loss is identical for every thread count.
-        std::vector<double> row_mse(b, 0.0);
-        std::vector<std::size_t> row_counted(b, 0);
-        exec::parallel_for(b, exec::grain_for_cost(feature_dim * 4),
-                           [&](std::size_t row_begin, std::size_t row_end) {
-          for (std::size_t r = row_begin; r < row_end; ++r) {
-            const auto cls = static_cast<std::size_t>(batch.y[r]);
-            if (!global_prototypes.present[cls]) continue;
-            row_counted[r] = feature_dim;
-            double acc = 0.0;
-            for (std::size_t c = 0; c < feature_dim; ++c) {
-              const float diff =
-                  features[r * feature_dim + c] -
-                  global_prototypes.matrix[cls * feature_dim + c];
-              acc += static_cast<double>(diff) * diff;
-              grad_features[r * feature_dim + c] = 2.0f * diff;
-            }
-            row_mse[r] = acc;
+        if (options.confidence_weighted) {
+          double mean_w = 0.0;
+          for (std::size_t r = 0; r < batch.size(); ++r) {
+            mean_w += confidence[batch.indices[r]];
           }
-        });
-        double mse = 0.0;
-        std::size_t counted = 0;
-        for (std::size_t r = 0; r < b; ++r) {
-          mse += row_mse[r];
-          counted += row_counted[r];
+          mean_w /= static_cast<double>(batch.size());
+          const std::size_t cols = grad_logits.cols();
+          // Row-parallel: every row's scale depends only on its own index. At
+          // ~cols ops per row a distill batch never clears the grain, so this
+          // stays inline — kept as parallel_for for when batches grow.
+          exec::parallel_for(
+              batch.size(), exec::grain_for_cost(cols),
+              [&](std::size_t row_begin, std::size_t row_end) {
+                for (std::size_t r = row_begin; r < row_end; ++r) {
+                  const float w = static_cast<float>(
+                      confidence[batch.indices[r]] / mean_w);
+                  float* g = grad_logits.data() + r * cols;
+                  for (std::size_t c = 0; c < cols; ++c) g[c] *= w;
+                }
+              });
         }
-        if (counted > 0) {
-          const float inv = 1.0f / static_cast<float>(counted);
-          const float scale = (1.0f - options.delta) * inv;
-          tensor::scale_inplace(grad_features, scale);
-          loss += (1.0f - options.delta) *
-                  static_cast<float>(mse / static_cast<double>(counted));
-          server_model.backward(grad_logits, &grad_features);
-        } else {
-          server_model.backward(grad_logits);
-        }
-      } else {
-        server_model.backward(grad_logits);
-      }
 
-      optimizer.step();
-      ++stats.steps;
-      stats.final_loss = loss;
-      loss_sum += loss;
-    }
-  }
-  stats.mean_loss =
-      stats.steps > 0 ? static_cast<float>(loss_sum / stats.steps) : 0.0f;
-  return stats;
+        // L_p (Eq. 12): pull each sample's feature vector toward the global
+        // prototype of its pseudo-label, with one (1 - delta) / counted scale.
+        if (options.delta < 1.0f) {
+          const fl::PrototypeMse mse = fl::masked_prototype_mse(
+              server_model.last_features(), batch.y, global_prototypes.matrix,
+              &global_prototypes.present, grad_features);
+          if (mse.counted > 0) {
+            const float inv = 1.0f / static_cast<float>(mse.counted);
+            tensor::scale_inplace(grad_features, (1.0f - options.delta) * inv);
+            out.value += (1.0f - options.delta) *
+                         static_cast<float>(
+                             mse.sum / static_cast<double>(mse.counted));
+            out.grad_features = &grad_features;
+          }
+        }
+        return out;
+      });
 }
 
 }  // namespace fedpkd::core

@@ -214,15 +214,16 @@ void FedPkd::server_step(fl::RoundContext& ctx,
     selected_pseudo.push_back(filter.pseudo_labels[i]);
   }
   ServerDistillOptions distill_opts;
-  distill_opts.epochs = options_.server_epochs;
-  distill_opts.batch_size = options_.distill_batch;
-  distill_opts.lr = ctx.fed.client_defaults.lr;
   distill_opts.delta = options_.use_prototypes ? options_.delta : 1.0f;
   distill_opts.temperature = options_.temperature;
-  distill_opts.use_prototype_loss = options_.use_prototypes;
   distill_opts.confidence_weighted = options_.confidence_weighted_distill;
+  fl::TrainOptions train_opts;
+  train_opts.epochs = options_.server_epochs;
+  train_opts.batch_size = options_.distill_batch;
+  train_opts.lr = ctx.fed.client_defaults.lr;
   server_ensemble_distill(server_, selected_inputs_, selected_teacher,
-                          selected_pseudo, global, distill_opts, server_rng_);
+                          selected_pseudo, global, distill_opts, train_opts,
+                          server_rng_);
 
   selected_ids_.clear();
   selected_ids_.reserve(filter.selected.size());

@@ -14,7 +14,6 @@ namespace {
 
 thread_local bool t_in_parallel_region = false;
 thread_local std::size_t t_lane_budget = 1;
-thread_local std::size_t t_thread_limit = 0;  // 0 = unlimited
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -154,9 +153,8 @@ void ThreadPool::run_chunks(std::size_t n, std::size_t max_lanes, ChunkFn fn,
                             void* ctx) {
   if (n == 0) return;
   // Lanes this thread may occupy: the whole pool at top level, the nesting
-  // budget inside a region, further capped by any ScopedThreadLimit.
-  std::size_t avail = t_in_parallel_region ? t_lane_budget : size();
-  if (t_thread_limit != 0) avail = std::min(avail, t_thread_limit);
+  // budget inside a region.
+  const std::size_t avail = t_in_parallel_region ? t_lane_budget : size();
   std::size_t lanes = std::min(avail, n);
   if (max_lanes != 0) lanes = std::min(lanes, max_lanes);
   if (lanes <= 1) {
@@ -199,17 +197,6 @@ void ThreadPool::run_chunks(std::size_t n, std::size_t max_lanes, ChunkFn fn,
   }
   if (job.error) std::rethrow_exception(job.error);
 }
-
-ScopedThreadLimit::ScopedThreadLimit(std::size_t limit)
-    : previous_(t_thread_limit) {
-  if (limit != 0) {
-    t_thread_limit = previous_ == 0 ? limit : std::min(previous_, limit);
-  }
-}
-
-ScopedThreadLimit::~ScopedThreadLimit() { t_thread_limit = previous_; }
-
-std::size_t ScopedThreadLimit::current() { return t_thread_limit; }
 
 std::size_t hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();

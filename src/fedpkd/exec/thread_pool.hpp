@@ -53,8 +53,8 @@ class ThreadPool {
   /// until every chunk finished. Rethrows the first exception a chunk threw
   /// (the remaining chunks still run to completion, so the pool stays
   /// reusable). `max_lanes` caps the split (0 = no extra cap); the effective
-  /// lane count is additionally clamped by n, the pool size, the calling
-  /// thread's nesting budget, and any ScopedThreadLimit.
+  /// lane count is additionally clamped by n, the pool size and the calling
+  /// thread's nesting budget.
   template <typename Body>
   void run(std::size_t n, Body&& body, std::size_t max_lanes = 0) {
     using Plain = std::remove_reference_t<Body>;
@@ -103,22 +103,6 @@ class ThreadPool {
   std::condition_variable done_cv_;
 };
 
-/// Upper bound the current thread places on its own parallel_for fan-out
-/// while alive (models a weak device that owns fewer cores). 0 = no extra
-/// limit. Limits nest: the tightest one wins.
-class ScopedThreadLimit {
- public:
-  explicit ScopedThreadLimit(std::size_t limit);
-  ~ScopedThreadLimit();
-  ScopedThreadLimit(const ScopedThreadLimit&) = delete;
-  ScopedThreadLimit& operator=(const ScopedThreadLimit&) = delete;
-
-  static std::size_t current();  // 0 = unlimited
-
- private:
-  std::size_t previous_;
-};
-
 /// Number of hardware threads (>= 1).
 std::size_t hardware_threads();
 
@@ -137,17 +121,14 @@ ThreadPool& global_pool();
 /// is the minimum indices per lane: the split uses at most ceil(n / grain)
 /// lanes, so small loops stay serial instead of paying a pool hand-off that
 /// costs more than the work. Serial (one inline body(0, n) call) when the
-/// resulting lane count is 1 — because the pool has one lane, n <= grain, a
-/// ScopedThreadLimit of 1 is active, or the calling thread's nesting budget
-/// is exhausted.
+/// resulting lane count is 1 — because the pool has one lane, n <= grain, or
+/// the calling thread's nesting budget is exhausted.
 template <typename Body>
 void parallel_for(std::size_t n, std::size_t grain, Body&& body) {
   if (n == 0) return;
-  std::size_t budget = ThreadPool::in_parallel_region()
-                           ? ThreadPool::lane_budget()
-                           : num_threads();
-  const std::size_t cap = ScopedThreadLimit::current();
-  if (cap != 0 && cap < budget) budget = cap;
+  const std::size_t budget = ThreadPool::in_parallel_region()
+                                 ? ThreadPool::lane_budget()
+                                 : num_threads();
   if (grain == 0) grain = 1;
   const std::size_t max_chunks = (n + grain - 1) / grain;
   const std::size_t lanes = std::min(budget, max_chunks);

@@ -14,14 +14,8 @@ namespace fedpkd::fl {
 /// experiment drivers.
 struct ClientConfig {
   std::string arch = "resmlp20";
-  std::size_t local_epochs = 2;   // e_{c,tr}: epochs on private data
-  std::size_t public_epochs = 1;  // e_{c,p}: epochs on public knowledge
   std::size_t batch_size = 32;
   float lr = 1e-3f;
-  /// Cap on intra-op (matmul) threads while this client trains; 0 = inherit
-  /// the federation-wide exec::num_threads setting. Models a device that
-  /// owns fewer cores than the server. Never changes results, only speed.
-  std::size_t num_threads = 0;
 };
 
 /// One federated client: its private train/test split, its (possibly unique)
@@ -47,10 +41,10 @@ struct Client {
         rng(r) {}
 
   /// Local supervised training on the private split (algorithm drivers set
-  /// `options.epochs` and any regularizers; batch size, learning rate, and
-  /// the thread cap are filled in from `config`). Touches only this client's
-  /// model and RNG stream, so distinct clients may run concurrently — the
-  /// round engines rely on that.
+  /// `options.epochs` and any regularizers; batch size and learning rate are
+  /// filled in from `config`). Touches only this client's model and RNG
+  /// stream, so distinct clients may run concurrently — the round engines
+  /// rely on that.
   TrainStats train_local(TrainOptions options);
 
   /// Distillation on broadcast knowledge ("digest"), same per-client

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
+#include <vector>
 
-#include "fedpkd/data/dataset.hpp"
+#include "fedpkd/data/loader.hpp"
 #include "fedpkd/nn/classifier.hpp"
 #include "fedpkd/nn/loss.hpp"
 
@@ -29,11 +32,6 @@ struct TrainOptions {
   std::size_t epochs = 1;
   std::size_t batch_size = 32;
   float lr = 1e-3f;
-  /// exec::ScopedThreadLimit applied for the duration of the call: caps how
-  /// many threads this training session's tensor ops may fan out to.
-  /// 0 = no cap beyond the global exec::num_threads setting. Has no effect
-  /// on results, only on scheduling.
-  std::size_t num_threads = 0;
   std::optional<float> proximal_mu;
   /// [num_classes, feature_dim] prototype matrix; rows for absent classes may
   /// be arbitrary if `prototype_class_present` marks them false.
@@ -61,6 +59,56 @@ struct DistillSet {
 TrainStats train_distill(Classifier& model, const DistillSet& set, float gamma,
                          const TrainOptions& options, Rng& rng,
                          float temperature = 1.0f);
+
+/// One batch's loss as train_minibatch consumes it: the value, its gradient
+/// w.r.t. the logits and, for a prototype term, an extra gradient w.r.t. the
+/// penultimate features (null when the batch has none).
+struct BatchLoss {
+  float value = 0.0f;
+  Tensor grad_logits;
+  const Tensor* grad_features = nullptr;
+};
+
+/// Computes one batch's loss from the logits of model.forward(batch.x).
+using BatchLossFn =
+    std::function<BatchLoss(const data::Batch& batch, const Tensor& logits)>;
+
+/// The minibatch loop behind every training entry point: Adam at
+/// `options.lr` over `options.epochs` shuffled passes of `dataset` in batches
+/// of `options.batch_size`, the shuffles drawn from rng.split(salt). Each
+/// step runs zero_grad -> forward(train) -> `loss` -> backward -> the FedProx
+/// gradient when `options.proximal_mu` is set -> Adam step. The
+/// `prototype_*` options are the supervised loss's business, not the loop's.
+TrainStats train_minibatch(Classifier& model, const data::Dataset& dataset,
+                           const TrainOptions& options, Rng& rng,
+                           std::uint64_t salt, const BatchLossFn& loss);
+
+/// Throws std::invalid_argument unless `prototypes` is a
+/// [>= num_classes, feature_dim] matrix and `present` (when set) holds one
+/// flag per prototype row: what masked_prototype_mse needs to index every
+/// label in [0, num_classes). Callers run it before their first step.
+void check_prototype_targets(const Tensor& prototypes,
+                             const std::vector<bool>* present,
+                             std::size_t num_classes, std::size_t feature_dim);
+
+/// Sum of squared distances between each feature row and its label's
+/// prototype, over the rows whose class is present (`present` null = all),
+/// and the number of elements it counted.
+struct PrototypeMse {
+  double sum = 0.0;
+  std::size_t counted = 0;
+};
+
+/// The masked prototype MSE of Eq. (12) and (16), unscaled: writes
+/// grad = 2 (features - prototypes[label]) on present rows and 0 elsewhere.
+/// Callers scale grad and sum by 1 / counted and their loss weight.
+/// Row-parallel; the per-row sums reduce in row order, so the result is the
+/// same at every lane count.
+PrototypeMse masked_prototype_mse(const Tensor& features,
+                                  std::span<const int> labels,
+                                  const Tensor& prototypes,
+                                  const std::vector<bool>* present,
+                                  Tensor& grad);
 
 /// Batched inference: logits for every row of `inputs` (eval mode, no caches
 /// kept). Batch bound keeps peak memory flat for large public sets.

@@ -152,21 +152,6 @@ TEST(ThreadPool, NestedRunWithLeftoverBudgetFansOutWithoutOversubscribing) {
   EXPECT_LE(peak.load(), 4);
 }
 
-TEST(ThreadPool, ScopedThreadLimitForcesInline) {
-  exec::set_num_threads(4);
-  {
-    exec::ScopedThreadLimit limit(1);
-    int calls = 0;
-    exec::parallel_for(100, [&](std::size_t begin, std::size_t end) {
-      ++calls;  // single inline chunk → no data race on the counter
-      EXPECT_EQ(begin, 0u);
-      EXPECT_EQ(end, 100u);
-    });
-    EXPECT_EQ(calls, 1);
-  }
-  exec::set_num_threads(1);
-}
-
 // --------------------------------------------------- Serial ≡ parallel ------
 
 struct RunResult {
@@ -304,16 +289,17 @@ TEST(SerialParallelEquivalence, ServerEnsembleDistillIsBitwiseIdentical) {
   }
 
   core::ServerDistillOptions options;
-  options.epochs = 2;
   options.delta = 0.5f;
   options.confidence_weighted = true;
+  fl::TrainOptions train;
+  train.epochs = 2;
 
   auto run = [&](std::size_t threads) {
     exec::set_num_threads(threads);
     nn::Classifier model = reference.clone();
     Rng rng(906);
     core::server_ensemble_distill(model, inputs, teacher, pseudo, prototypes,
-                                  options, rng);
+                                  options, train, rng);
     exec::set_num_threads(1);
     return model.flat_weights();
   };

@@ -315,13 +315,13 @@ TEST(WeightedDistill, RunsAndLearns) {
   const Tensor teacher = Tensor::one_hot(pub.labels, 10);
   core::PrototypeSet protos(10, nn::kFeatureDim);
   core::ServerDistillOptions opts;
-  opts.epochs = 10;
   opts.delta = 1.0f;
-  opts.use_prototype_loss = false;
   opts.confidence_weighted = true;
+  fl::TrainOptions train;
+  train.epochs = 10;
   Rng t(10);
   core::server_ensemble_distill(server, pub.features, teacher, pub.labels,
-                                protos, opts, t);
+                                protos, opts, train, t);
   EXPECT_GT(nn::accuracy(fl::compute_logits(server, pub.features), pub.labels),
             0.6f);
 }
@@ -339,13 +339,13 @@ TEST(WeightedDistill, UniformTeacherEqualsUnweighted) {
     nn::Classifier server = nn::make_classifier("resmlp11", pub.dim(), 10, m);
     core::PrototypeSet protos(10, nn::kFeatureDim);
     core::ServerDistillOptions opts;
-    opts.epochs = 2;
     opts.delta = 1.0f;
-    opts.use_prototype_loss = false;
     opts.confidence_weighted = weighted;
+    fl::TrainOptions train;
+    train.epochs = 2;
     Rng t(14);
     core::server_ensemble_distill(server, pub.features, teacher, pub.labels,
-                                  protos, opts, t);
+                                  protos, opts, train, t);
     return server.flat_weights();
   };
   EXPECT_LT(tensor::max_abs_difference(train(false), train(true)), 1e-5f);

@@ -37,7 +37,6 @@ std::unique_ptr<Federation> small_federation(
   FederationConfig config;
   config.num_clients = clients;
   config.client_archs = std::move(archs);
-  config.client_defaults.local_epochs = 1;
   config.client_defaults.batch_size = 32;
   config.local_test_per_client = 60;
   config.seed = 5;
@@ -127,6 +126,32 @@ TEST(Trainer, PrototypeRegularizerPullsFeatures) {
   train_supervised(model, train, opts, t);
   const Tensor features = compute_features(model, train.features);
   EXPECT_LT(tensor::mean(tensor::variance_per_row(features)), 1.0f);
+}
+
+TEST(Trainer, PrototypeTargetsValidatedBeforeFirstStep) {
+  // A presence mask shorter than the prototype matrix, or a matrix with
+  // fewer rows than the dataset has classes, would be indexed past its end
+  // by the prototype term; both are rejected before any weight moves.
+  SyntheticVision task(SyntheticVisionConfig::synth10(10));
+  Rng rng(11);
+  const data::Dataset train = task.sample(64, rng);
+  Rng m(12);
+  nn::Classifier model = nn::make_classifier("resmlp11", train.dim(),
+                                             train.num_classes, m);
+  const Tensor before = model.flat_weights();
+  const Tensor protos = Tensor::zeros({10, nn::kFeatureDim});
+  const std::vector<bool> short_mask(3, true);
+  TrainOptions opts;
+  opts.prototype_matrix = &protos;
+  opts.prototype_class_present = &short_mask;
+  Rng t(13);
+  EXPECT_THROW(train_supervised(model, train, opts, t), std::invalid_argument);
+
+  const Tensor narrow = Tensor::zeros({3, nn::kFeatureDim});
+  opts.prototype_matrix = &narrow;
+  opts.prototype_class_present = nullptr;
+  EXPECT_THROW(train_supervised(model, train, opts, t), std::invalid_argument);
+  EXPECT_EQ(tensor::max_abs_difference(model.flat_weights(), before), 0.0f);
 }
 
 TEST(Trainer, DistillMovesStudentTowardTeacher) {

@@ -1,7 +1,7 @@
 // Two memory-reuse guarantees: (1) the per-thread Workspace arena hands out
 // scratch without per-call heap traffic and rewinds cleanly, and (2) the
 // Tensor allocation counter makes buffer reuse observable — which the final
-// test uses to pin the Trainer hot loop's per-step allocation budget.
+// tests use to pin the training loop's per-step allocation budget.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "fedpkd/core/distill.hpp"
 #include "fedpkd/data/synthetic_vision.hpp"
 #include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/fl/client.hpp"
@@ -191,6 +192,66 @@ TEST(TrainerAllocations, DistillStepStaysWithinBudget) {
     options.batch_size = 32;
     return fl::train_distill(model, set, /*gamma=*/0.7f, options, train_rng,
                              /*temperature=*/2.0f)
+        .steps;
+  });
+  EXPECT_LE(per_step, kPerStepBudget) << "per-step allocs: " << per_step;
+}
+
+TEST(TrainerAllocations, SupervisedPrototypeStepStaysWithinBudget) {
+  exec::set_num_threads(1);
+  Rng data_rng(27);
+  data::SyntheticVision task(data::SyntheticVisionConfig::synth10(27));
+  const data::Dataset dataset = task.sample(256, data_rng);
+  Rng model_rng(28);
+  nn::Classifier model =
+      nn::make_classifier("resmlp11", dataset.dim(), 10, model_rng);
+  Rng proto_rng(29);
+  const Tensor protos = Tensor::randn({10, nn::kFeatureDim}, proto_rng);
+  std::vector<bool> present(10, true);
+  present[3] = false;  // the masked-row path runs too
+
+  Rng train_rng(30);
+  const double per_step = steady_state_allocs_per_step([&](std::size_t epochs) {
+    fl::TrainOptions options;
+    options.epochs = epochs;
+    options.batch_size = 32;
+    options.prototype_matrix = &protos;
+    options.prototype_class_present = &present;
+    return fl::train_supervised(model, dataset, options, train_rng).steps;
+  });
+  EXPECT_LE(per_step, kPerStepBudget) << "per-step allocs: " << per_step;
+}
+
+TEST(TrainerAllocations, ServerDistillStepStaysWithinBudget) {
+  exec::set_num_threads(1);
+  Rng data_rng(37);
+  data::SyntheticVision task(data::SyntheticVisionConfig::synth10(37));
+  const data::Dataset dataset = task.sample(256, data_rng);
+  Rng model_rng(38);
+  nn::Classifier model =
+      nn::make_classifier("resmlp11", dataset.dim(), 10, model_rng);
+  Rng teacher_rng(39);
+  const Tensor teacher =
+      tensor::softmax_rows(Tensor::randn({dataset.size(), 10}, teacher_rng));
+  const std::vector<int> pseudo = tensor::argmax_rows(teacher);
+  core::PrototypeSet protos(10, nn::kFeatureDim);
+  Rng proto_rng(40);
+  protos.matrix = Tensor::randn({10, nn::kFeatureDim}, proto_rng);
+  for (std::size_t j = 0; j < 10; ++j) {
+    protos.present[j] = true;
+    protos.support[j] = 1;
+  }
+  core::ServerDistillOptions distill;
+  distill.delta = 0.5f;  // prototype term on
+
+  Rng train_rng(41);
+  const double per_step = steady_state_allocs_per_step([&](std::size_t epochs) {
+    fl::TrainOptions options;
+    options.epochs = epochs;
+    options.batch_size = 32;
+    return core::server_ensemble_distill(model, dataset.features, teacher,
+                                         pseudo, protos, distill, options,
+                                         train_rng)
         .steps;
   });
   EXPECT_LE(per_step, kPerStepBudget) << "per-step allocs: " << per_step;
